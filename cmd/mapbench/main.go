@@ -22,40 +22,23 @@
 //	mapbench -smoke -graph ca-GrQc.txt -graph web-Google.mtx
 //	mapbench -smoke -graph ca-GrQc.txt -graph-lcc   # largest component only
 //
-// Probe wide mode (one big TIMER-dominant job run sequentially and
-// then wide on an idle pool; byte-identical quality is asserted and
-// the wall-clock ratio lands in perf.wide_speedup — see the
-// "Concurrency & determinism" chapter of DESIGN.md):
+// Reproducibility probes (any subset; each runs its own job set once
+// as a reference and once perturbed, fails the run unless the two
+// agree after StripPerf, and records perf.* columns; -workers and
+// -seed are their only inputs):
 //
-//	mapbench -smoke -wide                 # probe with NumHierarchies 128
-//	mapbench -smoke -wide -wide-nh 512    # longer trial tail
+//	mapbench -smoke -wide      # one big job sequential vs wide on an idle
+//	                           # pool: perf.wide_speedup, perf.wide_width
+//	mapbench -smoke -warm      # cold engine vs a restarted one on the same
+//	                           # cache dir: perf.warm_speedup, disk_hit_rate
+//	mapbench -smoke -restart   # drain mid-batch, recover from the job
+//	                           # ledger: perf.jobs_recovered, dedup_served
+//	mapbench -smoke -fleet     # maprouter over 1 vs 3 replicas, then one
+//	                           # killed: perf.fleet_speedup, perf.failovers
 //
-// Probe the warm-restart path of the persistent artifact tier (the same
-// job set run cold on an empty cache directory and again by a freshly
-// constructed engine on the now populated directory; byte-identical
-// quality is asserted and the wall-clock ratio lands in
-// perf.warm_speedup, the restarted engine's snapshot-serving fraction
-// in perf.disk_hit_rate):
-//
-//	mapbench -smoke -warm                       # temp dir, self-cleaning
-//	mapbench -smoke -warm -warm-dir /tmp/cache  # inspectable snapshots
-//
-// Probe the durable job ledger (an engine drained mid-batch, a second
-// engine recovering the batch from the same -job-dir WAL; byte-identical
-// recovery and zero-recompute idempotency are asserted, the counters
-// land in perf.jobs_recovered and perf.dedup_served):
-//
-//	mapbench -smoke -restart
-//
-// Probe the fleet layer (the same job set run through maprouter over
-// one replica and over N in-process mapd replicas, then once more with
-// the busiest replica killed mid-batch; byte-identical completion is
-// asserted, the wall-clock ratio lands in perf.fleet_speedup and the
-// recovery count in perf.failovers — see the "Fleet" chapter of
-// DESIGN.md):
-//
-//	mapbench -smoke -fleet                    # 3 replicas
-//	mapbench -smoke -fleet -fleet-replicas 5
+// probes.go describes each probe; DESIGN.md's "Concurrency &
+// determinism", "Persistence", "Durability" and "Fleet" chapters
+// explain what they prove.
 //
 // Gate against a baseline (nonzero exit on regression):
 //
@@ -70,13 +53,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 
 	"repro/internal/bench"
-	"repro/internal/engine"
-	"repro/internal/mapdsrv"
 )
 
 func main() {
@@ -96,13 +76,9 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress per-scenario progress")
 		graphLCC   = flag.Bool("graph-lcc", false, "restrict -graph datasets to their largest connected component")
 		wide       = flag.Bool("wide", false, "also run the wide-mode probe (one big job, sequential vs wide; records perf.wide_speedup)")
-		wideNH     = flag.Int("wide-nh", 0, "NumHierarchies of the wide probe job (default 128)")
 		warm       = flag.Bool("warm", false, "also run the warm-restart probe (same jobs, cold vs restarted engine on a shared cache dir; records perf.warm_speedup and perf.disk_hit_rate)")
-		warmDir    = flag.String("warm-dir", "", "cache directory of the warm probe (default: a fresh temp dir, removed afterwards)")
 		restart    = flag.Bool("restart", false, "also run the crash-restart probe (engine drained mid-batch, recovered from its job ledger byte-identical; records perf.jobs_recovered and perf.dedup_served)")
-		restartDir = flag.String("restart-dir", "", "job-ledger directory of the restart probe (default: a fresh temp dir, removed afterwards)")
-		fleetProbe = flag.Bool("fleet", false, "also run the fleet probe (job set through maprouter over 1 vs N replicas, then with a replica killed mid-batch; records perf.fleet_speedup and perf.failovers)")
-		fleetReps  = flag.Int("fleet-replicas", 0, "replica count of the fleet probe (default 3)")
+		fleet      = flag.Bool("fleet", false, "also run the fleet probe (job set through maprouter over 1 vs 3 replicas, then with a replica killed mid-batch; records perf.fleet_speedup and perf.failovers)")
 	)
 	var graphs stringList
 	flag.Var(&graphs, "graph", "add a real dataset file (SNAP/Matrix Market/METIS) as matrix cells; repeatable")
@@ -126,71 +102,17 @@ func main() {
 		fatal(err)
 	}
 
-	if *wide && *diffFile == "" {
-		probe, perr := bench.RunWideProbe(bench.WideProbe{
-			Workers:        *workers,
-			Seed:           *seed,
-			NumHierarchies: *wideNH,
-		}, progress(*quiet))
-		if perr != nil {
-			fatal(perr)
+	enabled := map[string]bool{"wide": *wide, "warm": *warm, "restart": *restart, "fleet": *fleet}
+	for _, p := range probes {
+		if !enabled[p.name] || *diffFile != "" {
+			continue
 		}
 		if results.Perf == nil {
 			results.Perf = &bench.RunPerf{}
 		}
-		results.Perf.WideSpeedup = probe.Speedup
-		results.Perf.WideWidth = probe.Width
-	}
-
-	if *warm && *diffFile == "" {
-		probe, perr := bench.RunWarmProbe(bench.WarmProbe{
-			Workers: *workers,
-			Seed:    *seed,
-			Dir:     *warmDir,
-		}, progress(*quiet))
-		if perr != nil {
-			fatal(perr)
+		if err := runProbe(p, *workers, *seed, progress(*quiet), results.Perf); err != nil {
+			fatal(err)
 		}
-		if results.Perf == nil {
-			results.Perf = &bench.RunPerf{}
-		}
-		results.Perf.WarmSpeedup = probe.Speedup
-		results.Perf.DiskHitRate = probe.DiskHitRate
-	}
-
-	if *restart && *diffFile == "" {
-		probe, perr := bench.RunRestartProbe(bench.RestartProbe{
-			Workers: *workers,
-			Seed:    *seed,
-			Dir:     *restartDir,
-		}, progress(*quiet))
-		if perr != nil {
-			fatal(perr)
-		}
-		if results.Perf == nil {
-			results.Perf = &bench.RunPerf{}
-		}
-		results.Perf.JobsRecovered = probe.Recovered
-		results.Perf.DedupServed = probe.DedupServed
-	}
-
-	if *fleetProbe && *diffFile == "" {
-		// bench cannot import mapdsrv (mapdsrv serves bench's matrices),
-		// so the production handler stack is injected from here.
-		probe, perr := bench.RunFleetProbe(bench.FleetProbe{
-			Replicas: *fleetReps,
-			Seed:     *seed,
-		}, func(eng *engine.Engine) http.Handler {
-			return mapdsrv.New(eng, mapdsrv.Config{})
-		}, progress(*quiet))
-		if perr != nil {
-			fatal(perr)
-		}
-		if results.Perf == nil {
-			results.Perf = &bench.RunPerf{}
-		}
-		results.Perf.Failovers = probe.Failovers
-		results.Perf.FleetSpeedup = probe.FleetSpeedup
 	}
 
 	if *out != "" {

@@ -26,8 +26,9 @@
 // (StripPerf) — which is what makes the committed-baseline CI gate
 // possible. That guarantee holds at any worker count and in wide mode;
 // the "Concurrency & determinism" chapter of DESIGN.md explains why,
-// and RunWideProbe (mapbench -wide) measures the wide-mode speedup
-// while asserting the equivalence on every run. cmd/mapbench is the
-// CLI front-end; the repro facade re-exports the canonical matrices
-// (Smoke, Paper) for library use and mapd serves them for clients.
+// and mapbench's wide probe measures the wide-mode speedup while
+// asserting the equivalence on every run. cmd/mapbench is the CLI
+// front-end and owns the reproducibility probes; the repro facade
+// re-exports the canonical matrices (Smoke, Paper) for library use and
+// mapd serves them for clients.
 package bench

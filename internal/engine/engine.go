@@ -23,6 +23,27 @@ var ErrQueueFull = errors.New("engine: queue full")
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("engine: closed")
 
+// ErrInvalidSpec is wrapped by Submit and Run around a spec that fails
+// admission; the message names the offending JSON field. It is a
+// client error, never worth retrying.
+var ErrInvalidSpec = errors.New("engine: invalid job spec")
+
+// MaxNumHierarchies caps JobSpec.NumHierarchies at admission. TIMER
+// sizes per-hierarchy state by NH up front and a running job cannot be
+// stopped, so an unbounded NH exhausts memory (a durable engine then
+// dies again on every replay) or pins a worker for hours. 4096 is 32×
+// the largest NH this repository runs (128, the wide probe) and 80×
+// the paper's default of 50.
+const MaxNumHierarchies = 4096
+
+// validate rejects a spec that no worker should be allowed to start.
+func (s JobSpec) validate() error {
+	if s.NumHierarchies > MaxNumHierarchies {
+		return fmt.Errorf("%w: num_hierarchies %d exceeds the cap of %d", ErrInvalidSpec, s.NumHierarchies, MaxNumHierarchies)
+	}
+	return nil
+}
+
 // Options configures an Engine.
 type Options struct {
 	// Workers is the number of concurrent pipeline workers (default
@@ -283,11 +304,15 @@ func (e *Engine) Topology(spec string) (*topology.Topology, error) {
 
 // Submit enqueues a job and returns its snapshot (status "queued"). It
 // fails if the engine is closed (ErrClosed), draining for shutdown
-// (ErrDraining) or the queue is full (ErrQueueFull). On a durable
+// (ErrDraining) or the queue is full (ErrQueueFull), and rejects a spec
+// over an admission cap (ErrInvalidSpec). On a durable
 // engine, resubmitting a spec whose identical twin already finished
 // successfully returns an already-done job served from the ledger
 // (result flagged ServedFromLedger) without recomputing.
 func (e *Engine) Submit(spec JobSpec) (Job, error) {
+	if err := spec.validate(); err != nil {
+		return Job{}, err
+	}
 	if e.draining.Load() {
 		return Job{}, ErrDraining
 	}
@@ -434,6 +459,9 @@ func (e *Engine) Jobs() []Job {
 // widens — it is the sequential reference wide mode is measured
 // against; Spec.Wide only takes effect on submitted jobs.
 func (e *Engine) Run(spec JobSpec) (*JobResult, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	return runPipeline(spec, e.cache.Get, e.GraphByRef, nil, nil, e.artifacts, nil)
 }
 

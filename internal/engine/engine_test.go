@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -187,6 +188,26 @@ func TestRunSyncMatchesSubmitted(t *testing.T) {
 	if done.Result.CocoAfter != res.CocoAfter || done.Result.CocoBefore != res.CocoBefore {
 		t.Errorf("sync run Coco %d->%d, pooled %d->%d",
 			res.CocoBefore, res.CocoAfter, done.Result.CocoBefore, done.Result.CocoAfter)
+	}
+}
+
+func TestNumHierarchiesCap(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	spec := testJobSpec(1)
+	spec.NumHierarchies = MaxNumHierarchies + 1
+	if _, err := e.Submit(spec); !errors.Is(err, ErrInvalidSpec) {
+		t.Errorf("Submit over the NH cap: err = %v, want ErrInvalidSpec", err)
+	}
+	if _, err := e.Run(spec); !errors.Is(err, ErrInvalidSpec) {
+		t.Errorf("Run over the NH cap: err = %v, want ErrInvalidSpec", err)
+	}
+	b := BatchSpec{Graphs: []GraphSpec{spec.Graph}, Topologies: []string{spec.Topology}, NumHierarchies: spec.NumHierarchies}
+	if _, err := e.SubmitBatch(b); !errors.Is(err, ErrInvalidSpec) {
+		t.Errorf("SubmitBatch over the NH cap: err = %v, want ErrInvalidSpec", err)
+	}
+	if len(e.Jobs()) != 0 {
+		t.Errorf("%d jobs registered after refused submissions", len(e.Jobs()))
 	}
 }
 

@@ -1,10 +1,8 @@
 package fleet
 
 // Test-only windows into router internals for the external fleet_test
-// package. The tests that stand up real mapd replicas must live
-// outside package fleet: an internal test file importing mapdsrv would
-// close the cycle fleet → mapdsrv → bench → fleet (bench's fleet probe
-// imports this package).
+// package, whose tests stand up real mapd replicas (mapdsrv) and reach
+// the router only through its exported API and these accessors.
 
 // UsableCountForTest reports how many replicas are ready with an
 // admitting breaker.

@@ -18,7 +18,7 @@ import (
 // mapd speaks, so mapclient (and curl) work unchanged against a fleet:
 //
 //	POST /v1/jobs          route one job by its spec hash
-//	POST /v1/batch         expand a batch and scatter its jobs
+//	POST /v1/batches       expand a batch and scatter its jobs
 //	GET  /v1/jobs/{id}     proxy a snapshot (add ?wait=1 to park until
 //	                       terminal; survives replica death by requeue)
 //	GET  /v1/stats         per-replica health, breaker state, failovers
@@ -27,7 +27,7 @@ import (
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", rt.submitJob)
-	mux.HandleFunc("POST /v1/batch", rt.submitBatch)
+	mux.HandleFunc("POST /v1/batches", rt.submitBatch)
 	mux.HandleFunc("GET /v1/jobs/{id}", rt.getJob)
 	mux.HandleFunc("GET /v1/stats", rt.statsHandler)
 	mux.HandleFunc("GET /healthz", rt.healthz)

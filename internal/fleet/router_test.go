@@ -2,10 +2,12 @@ package fleet_test
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -333,6 +335,45 @@ func TestRouterSheds503WithNoUsableReplica(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("/readyz 503 missing Retry-After")
+	}
+}
+
+// TestRouterServesReadmeBatch posts the README's batch body through the
+// router: the router speaks mapd's POST /v1/batches, answers 202 with
+// the expanded job IDs, and every job reaches done.
+func TestRouterServesReadmeBatch(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		urls = append(urls, startReplicaAt(t, "", engine.Options{Workers: 2}).url())
+	}
+	rt, srv := fastRouter(t, urls)
+	waitUsable(t, rt, 2)
+
+	body := `{"graphs":[{"network":"p2p-Gnutella","scale":0.05}],"topologies":["grid:4x4","hypercube:4"],"case":"identity","reps":2}`
+	resp, err := http.Post(srv.URL+"/v1/batches", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		JobIDs []string `json:"job_ids"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		t.Fatalf("POST /v1/batches: %d (decode: %v)", resp.StatusCode, err)
+	}
+	if len(out.JobIDs) != 4 {
+		t.Fatalf("batch expanded to %d job IDs, want 4 (1 graph × 2 topologies × 2 reps)", len(out.JobIDs))
+	}
+	c := mapclient.New(srv.URL, mapclient.Config{AttemptTimeout: 15 * time.Second})
+	for _, id := range out.JobIDs {
+		job, err := c.WaitJob(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Status != engine.StatusDone {
+			t.Fatalf("job %s: %s (%s)", id, job.Status, job.Error)
+		}
 	}
 }
 

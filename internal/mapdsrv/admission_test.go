@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/jobstore"
 )
 
 // jsonDecode decodes a response body; closing is left to the caller.
@@ -256,5 +257,42 @@ func TestLedgerSurvivesServerRestart(t *testing.T) {
 	}
 	if js["wal_records"].(float64) <= 0 || js["wal_bytes"].(float64) <= 0 {
 		t.Fatalf("wal counters missing: %v", js)
+	}
+}
+
+// TestNumHierarchiesCapRejectedAt400 posts the NH poison pill to a
+// durable mapd. Admitted, it would exhaust memory in TIMER and, replayed
+// from the ledger, kill every restart; instead it must be refused with
+// a non-retryable 400 naming the field, leave no ledger record, and
+// leave the server serving.
+func TestNumHierarchiesCapRejectedAt400(t *testing.T) {
+	dir := t.TempDir()
+	eng := engine.New(engine.Options{Workers: 1, JobDir: dir})
+	srv := httptest.NewServer(New(eng, Config{}))
+
+	poison := `{"graph":{"network":"p2p-Gnutella","scale":0.05,"seed":11},"topology":"grid:4x4","num_hierarchies":1099511627776}`
+	var out map[string]any
+	if code := postJSON(t, srv.URL+"/v1/jobs", poison, &out); code != http.StatusBadRequest {
+		t.Fatalf("poison spec: status %d, want 400 (%v)", code, out)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "num_hierarchies") {
+		t.Errorf("error %q does not name num_hierarchies", msg)
+	}
+	var health map[string]any
+	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusOK {
+		t.Fatalf("healthz after poison: %d", code)
+	}
+	srv.Close()
+	if err := eng.DrainAndClose(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	store, rec, err := jobstore.Open(dir, jobstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if rec.Records != 0 || len(rec.Jobs) != 0 {
+		t.Fatalf("ledger holds %d records / %d jobs after a refused submit, want none", rec.Records, len(rec.Jobs))
 	}
 }

@@ -1,6 +1,6 @@
 // Package mapdsrv implements the mapd HTTP API as an importable
 // handler: cmd/mapd mounts it on its listener, and the fleet layer
-// (internal/fleet, internal/bench's fleet probe, the chaos tests) uses
+// (internal/fleet, mapbench's fleet probe, the chaos tests) uses
 // it to run real replica servers in-process or in killable child
 // processes instead of mocking the API.
 package mapdsrv
@@ -185,6 +185,8 @@ func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 		s.shed(w, http.StatusTooManyRequests, queueFullRetryAfter, err)
 	case errors.Is(err, engine.ErrDraining):
 		s.shed(w, http.StatusServiceUnavailable, drainRetryAfter, err)
+	case errors.Is(err, engine.ErrInvalidSpec):
+		writeError(w, http.StatusBadRequest, err)
 	default:
 		writeError(w, http.StatusServiceUnavailable, err)
 	}
