@@ -13,19 +13,16 @@ package repro
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/bench"
 	"repro/internal/engine"
-	"repro/internal/experiments"
+	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/netgen"
 	"repro/internal/partition"
 	"repro/internal/topology"
 )
-
-// benchCfg is the reduced-scale configuration used by the table/figure
-// benchmarks.
-func benchCfg() experiments.Config {
-	return experiments.Config{Reps: 1, NH: 5, Epsilon: 0.03, Seed: 1}
-}
 
 const (
 	benchScale = 0.004
@@ -33,19 +30,40 @@ const (
 	benchMaxE  = 70000
 )
 
+// benchNetworks lists the Table 1 networks whose scaled size stays
+// within maxV vertices and maxE edges.
+func benchNetworks(scale float64, maxV, maxE int) []netgen.NetworkSpec {
+	var out []netgen.NetworkSpec
+	for _, net := range netgen.Catalog() {
+		if net.ScaledV(scale) <= maxV && int(float64(net.FullE)*scale) <= maxE {
+			out = append(out, net)
+		}
+	}
+	return out
+}
+
+// benchSpec is the paper matrix (bench.Paper()) reduced to CI size for
+// the given cases: the suite shrunk and bounded, one repetition, NH = 5.
+func benchSpec(cases ...string) bench.Spec {
+	s := bench.Paper()
+	s.Scale, s.Reps, s.NumHierarchies, s.Seed, s.Cases = benchScale, 1, 5, 1, cases
+	s.Networks = nil
+	for _, net := range benchNetworks(benchScale, benchMaxV, benchMaxE) {
+		s.Networks = append(s.Networks, net.Name)
+	}
+	return s
+}
+
 // BenchmarkTable1NetworkSuite regenerates Table 1: the 15-network suite.
 func BenchmarkTable1NetworkSuite(b *testing.B) {
 	b.ReportAllocs()
 	var totalV, totalE int
 	for i := 0; i < b.N; i++ {
-		suite := netgen.GenerateSuite(netgen.SuiteOption{Scale: benchScale, Seed: int64(i)})
-		if len(suite) != 15 {
-			b.Fatalf("suite has %d networks, want 15", len(suite))
-		}
 		totalV, totalE = 0, 0
-		for _, inst := range suite {
-			totalV += inst.G.N()
-			totalE += inst.G.M()
+		for _, net := range netgen.Catalog() {
+			g := net.Generate(benchScale, int64(i))
+			totalV += g.N()
+			totalE += g.M()
 		}
 	}
 	b.ReportMetric(float64(totalV), "vertices")
@@ -55,56 +73,61 @@ func BenchmarkTable1NetworkSuite(b *testing.B) {
 // benchCase runs one experimental case over the reduced suite and
 // reports the per-topology Coco quotients (the content of one Figure 5
 // subplot) plus the aggregate time quotient (one column group of
-// Table 2).
-func benchCase(b *testing.B, c experiments.Case) {
+// Table 2), aggregated as cmd/experiments does: geometric means over
+// the networks.
+func benchCase(b *testing.B, c string) {
 	b.Helper()
-	var results []*experiments.SuiteResult
+	var res *bench.Results
 	for i := 0; i < b.N; i++ {
-		suite, err := experiments.NewSuite(benchScale, benchMaxV, benchMaxE, benchCfg())
-		if err != nil {
+		var err error
+		if res, err = bench.Run(benchSpec(c), bench.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		results, err = suite.RunCase(c, nil)
-		if err != nil {
-			b.Fatal(err)
+		if res.Summary.Failed > 0 {
+			b.Fatalf("%d scenarios failed", res.Summary.Failed)
 		}
-	}
-	for _, sr := range results {
-		b.ReportMetric(sr.QCo.Mean, "qCo_"+sr.Topo)
 	}
 	var qtSum float64
-	for _, sr := range results {
-		qtSum += sr.QT.Mean
+	pts := topology.PaperTopologies()
+	for _, pt := range pts {
+		spec, _ := topology.ParseSpec(pt.String())
+		var qco, qt []float64
+		for _, sr := range res.Scenarios {
+			if sr.Topology == spec.String() {
+				qco = append(qco, sr.Quality.CocoQuotient.Mean)
+				qt = append(qt, metrics.Quotient(sr.Perf.TimerSeconds, sr.Perf.BaseSeconds).Mean)
+			}
+		}
+		b.ReportMetric(metrics.GeoMean(qco), "qCo_"+pt.String())
+		qtSum += metrics.GeoMean(qt)
 	}
-	b.ReportMetric(qtSum/float64(len(results)), "qT_mean")
+	b.ReportMetric(qtSum/float64(len(pts)), "qT_mean")
 }
 
 // BenchmarkFigure5a_SCOTCH regenerates Figure 5a (case c1: TIMER on DRB
 // initial mappings) and the c1 columns of Table 2.
-func BenchmarkFigure5a_SCOTCH(b *testing.B) { benchCase(b, experiments.C1SCOTCH) }
+func BenchmarkFigure5a_SCOTCH(b *testing.B) { benchCase(b, "scotch") }
 
 // BenchmarkFigure5b_Identity regenerates Figure 5b (case c2).
-func BenchmarkFigure5b_Identity(b *testing.B) { benchCase(b, experiments.C2Identity) }
+func BenchmarkFigure5b_Identity(b *testing.B) { benchCase(b, "identity") }
 
 // BenchmarkFigure5c_GreedyAllC regenerates Figure 5c (case c3).
-func BenchmarkFigure5c_GreedyAllC(b *testing.B) { benchCase(b, experiments.C3GreedyAllC) }
+func BenchmarkFigure5c_GreedyAllC(b *testing.B) { benchCase(b, "greedyallc") }
 
 // BenchmarkFigure5d_GreedyMin regenerates Figure 5d (case c4).
-func BenchmarkFigure5d_GreedyMin(b *testing.B) { benchCase(b, experiments.C4GreedyMin) }
+func BenchmarkFigure5d_GreedyMin(b *testing.B) { benchCase(b, "greedymin") }
 
 // BenchmarkTable2RuntimeQuotients regenerates Table 2 across all four
 // cases (this is the full evaluation; the figure benchmarks above cover
 // its per-case columns individually).
 func BenchmarkTable2RuntimeQuotients(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		suite, err := experiments.NewSuite(benchScale, benchMaxV, benchMaxE, benchCfg())
+		res, err := bench.Run(benchSpec("scotch", "identity", "greedyallc", "greedymin"), bench.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, c := range experiments.Cases() {
-			if _, err := suite.RunCase(c, nil); err != nil {
-				b.Fatal(err)
-			}
+		if res.Summary.Failed > 0 {
+			b.Fatalf("%d scenarios failed", res.Summary.Failed)
 		}
 	}
 }
@@ -112,22 +135,30 @@ func BenchmarkTable2RuntimeQuotients(b *testing.B) {
 // BenchmarkTable3PartitionTimes regenerates Table 3: partitioner
 // running times for |Vp| = 256 and 512 over the suite.
 func BenchmarkTable3PartitionTimes(b *testing.B) {
-	suite, err := experiments.NewSuite(0.02, 20000, 200000, benchCfg())
-	if err != nil {
-		b.Fatal(err)
+	var graphs []*graph.Graph
+	for _, net := range benchNetworks(0.02, 20000, 200000) {
+		graphs = append(graphs, net.Generate(0.02, 1))
 	}
 	b.ResetTimer()
-	var rows []experiments.PartitionTiming
-	for i := 0; i < b.N; i++ {
-		rows, err = suite.PartitionTimes(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 	var sum256, sum512 float64
-	for _, r := range rows {
-		sum256 += r.Seconds[0]
-		sum512 += r.Seconds[1]
+	for i := 0; i < b.N; i++ {
+		sum256, sum512 = 0, 0
+		for _, g := range graphs {
+			for _, k := range []int{256, 512} {
+				if g.N() <= k {
+					continue
+				}
+				t0 := time.Now()
+				if _, err := partition.Partition(g, partition.Config{K: k, Epsilon: 0.03, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+				if k == 256 {
+					sum256 += time.Since(t0).Seconds()
+				} else {
+					sum512 += time.Since(t0).Seconds()
+				}
+			}
+		}
 	}
 	b.ReportMetric(sum256, "s_k256_total")
 	b.ReportMetric(sum512, "s_k512_total")

@@ -47,7 +47,9 @@
 //
 // The -diff form compares two existing result files without running
 // anything. Quality metrics are deterministic for a fixed matrix and
-// seed; performance fields are reported but never gated.
+// seed, so the gate's tolerance defaults to zero (-tol 0.05 would
+// admit a 5% regression); performance fields are reported but never
+// gated.
 package main
 
 import (
@@ -72,7 +74,7 @@ func main() {
 		out        = flag.String("out", "", "write results to this JSON file")
 		baseline   = flag.String("baseline", "", "gate quality metrics against this results file; exit 1 on regression")
 		diffFile   = flag.String("diff", "", "compare this results file against -baseline instead of running")
-		tol        = flag.Float64("tol", 0.05, "relative tolerance of the baseline gate")
+		tol        = flag.Float64("tol", 0, "relative tolerance of the baseline gate (0: quality must match the baseline exactly)")
 		quiet      = flag.Bool("q", false, "suppress per-scenario progress")
 		graphLCC   = flag.Bool("graph-lcc", false, "restrict -graph datasets to their largest connected component")
 		wide       = flag.Bool("wide", false, "also run the wide-mode probe (one big job, sequential vs wide; records perf.wide_speedup)")

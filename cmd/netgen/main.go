@@ -1,5 +1,8 @@
 // Command netgen generates the synthetic complex-network suite standing
 // in for the paper's Table 1 instances and writes them as METIS files.
+// Every network is generated with the -seed given, so -list describes
+// exactly the graphs -all writes (and the ones cmd/experiments and
+// mapbench compute on at the same scale and seed).
 //
 // Usage:
 //
@@ -14,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/experiments"
 	"repro/internal/netgen"
 )
 
@@ -32,8 +34,11 @@ func main() {
 
 	switch {
 	case *list:
-		suite := netgen.GenerateSuite(netgen.SuiteOption{Scale: *scale, Seed: *seed})
-		if err := experiments.WriteTable1(os.Stdout, suite); err != nil {
+		var nets []netgen.Instance
+		for _, spec := range netgen.Catalog() {
+			nets = append(nets, netgen.Instance{Spec: spec, G: spec.Generate(*scale, *seed)})
+		}
+		if err := netgen.WriteTable1(os.Stdout, nets); err != nil {
 			fatal(err)
 		}
 	case *name != "":

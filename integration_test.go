@@ -3,7 +3,8 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/experiments"
+	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/netgen"
 	"repro/internal/topology"
 )
@@ -17,14 +18,15 @@ func TestIntegrationAllCasesAllTopologies(t *testing.T) {
 		t.Skip("full pipeline across 20 case/topology pairs")
 	}
 	ga := netgen.Generate(netgen.RMAT, 1600, 6500, 99)
-	cfg := experiments.Config{Reps: 1, NH: 3, Epsilon: 0.03, Seed: 9}
+	eng := engine.New(engine.Options{Workers: 1})
+	defer eng.Close()
 	for _, pt := range topology.PaperTopologies() {
 		topo := pt.MustBuild()
 		if ga.N() <= topo.P() {
 			t.Fatalf("test instance too small for %s", topo.Name)
 		}
-		for _, c := range experiments.Cases() {
-			m, err := experiments.RunRep(ga, topo, c, cfg, 9)
+		for _, c := range engine.Cases() {
+			m, err := eng.Run(integrationJob(ga, topo, c, 3, 9))
 			if err != nil {
 				t.Fatalf("%s on %s: %v", c, topo.Name, err)
 			}
@@ -33,6 +35,9 @@ func TestIntegrationAllCasesAllTopologies(t *testing.T) {
 			}
 			if m.CutBefore <= 0 || m.CutAfter <= 0 {
 				t.Errorf("%s on %s: degenerate cuts %d -> %d", c, topo.Name, m.CutBefore, m.CutAfter)
+			}
+			if m.BaseSeconds <= 0 || m.TimerSeconds <= 0 {
+				t.Errorf("%s on %s: missing Table 2 timings (base %g s, TIMER %g s)", c, topo.Name, m.BaseSeconds, m.TimerSeconds)
 			}
 		}
 	}
@@ -50,10 +55,11 @@ func TestIntegrationImprovementShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := experiments.Config{Reps: 1, NH: 8, Epsilon: 0.03, Seed: 4}
-	gain := map[experiments.Case]float64{}
-	for _, c := range experiments.Cases() {
-		m, err := experiments.RunRep(ga, topo, c, cfg, 4)
+	eng := engine.New(engine.Options{Workers: 1})
+	defer eng.Close()
+	gain := map[engine.Case]float64{}
+	for _, c := range engine.Cases() {
+		m, err := eng.Run(integrationJob(ga, topo, c, 8, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,15 +69,29 @@ func TestIntegrationImprovementShape(t *testing.T) {
 	// baselines c3/c4 (paper Section 7.2: "TIMER is able to decrease the
 	// communication costs significantly for c1, even more than in the
 	// other cases").
-	if gain[experiments.C1SCOTCH] <= gain[experiments.C3GreedyAllC] ||
-		gain[experiments.C1SCOTCH] <= gain[experiments.C4GreedyMin] {
+	if gain[engine.C1SCOTCH] <= gain[engine.C3GreedyAllC] ||
+		gain[engine.C1SCOTCH] <= gain[engine.C4GreedyMin] {
 		t.Errorf("improvement ordering violated: c1=%.3f c2=%.3f c3=%.3f c4=%.3f",
-			gain[experiments.C1SCOTCH], gain[experiments.C2Identity],
-			gain[experiments.C3GreedyAllC], gain[experiments.C4GreedyMin])
+			gain[engine.C1SCOTCH], gain[engine.C2Identity],
+			gain[engine.C3GreedyAllC], gain[engine.C4GreedyMin])
 	}
 	for c, g := range gain {
 		if g < 0 {
 			t.Errorf("%s: negative improvement %.3f", c, g)
 		}
+	}
+}
+
+// integrationJob is one pipeline run of ga on topo: partition (or DRB)
+// at ε = 0.03, the case's initial mapping, then TIMER with nh
+// hierarchies, all seeded with seed.
+func integrationJob(ga *graph.Graph, topo *topology.Topology, c engine.Case, nh int, seed int64) engine.JobSpec {
+	return engine.JobSpec{
+		Graph:          engine.GraphSpec{G: ga},
+		Topo:           topo,
+		Case:           c,
+		Epsilon:        0.03,
+		Seed:           seed,
+		NumHierarchies: nh,
 	}
 }

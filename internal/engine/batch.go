@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/netgen"
@@ -66,6 +67,22 @@ func SharedPartitionSeed(base int64, rep int) int64 {
 	return base + int64(rep)*7919
 }
 
+// MaxBatchJobs caps the number of jobs one batch may expand to (graphs
+// × topologies × reps). ExpandBatch allocates every JobSpec up front,
+// so an absurd reps count would exhaust a router's memory before a
+// single job is placed. 65,536 is 4× mapd's default retention window,
+// which already bounds the batches one engine accepts.
+const MaxBatchJobs = 1 << 16
+
+// batchJobs returns graphs × topologies × reps (reps ≥ 1), saturating
+// at math.MaxInt so an absurd reps count cannot wrap around a cap check.
+func batchJobs(b BatchSpec, reps int) int {
+	if pairs := len(b.Graphs) * len(b.Topologies); pairs > 0 && reps <= math.MaxInt/pairs {
+		return pairs * reps
+	}
+	return math.MaxInt
+}
+
 // ExpandBatch expands a batch into its per-job specs without touching
 // an engine: the same fan-out order (graphs outermost, then topologies,
 // then reps) and the same seed algebra (BatchSeed, SharedPartitionSeed,
@@ -85,11 +102,15 @@ func ExpandBatch(b BatchSpec) ([]JobSpec, error) {
 	if reps <= 0 {
 		reps = 1
 	}
+	total := batchJobs(b, reps)
+	if total > MaxBatchJobs {
+		return nil, fmt.Errorf("%w: %d graphs × %d topologies × reps %d exceeds the cap of %d jobs", ErrInvalidSpec, len(b.Graphs), len(b.Topologies), reps, MaxBatchJobs)
+	}
 	seed := b.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	specs := make([]JobSpec, 0, len(b.Graphs)*len(b.Topologies)*reps)
+	specs := make([]JobSpec, 0, total)
 	for _, gs := range b.Graphs {
 		if gs.Seed == 0 {
 			gs.Seed = seed
@@ -137,7 +158,7 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 	// A batch larger than the retention window could have its earliest
 	// finished jobs evicted before RunBatch collects them; reject it
 	// outright instead of silently losing results.
-	if total := len(b.Graphs) * len(b.Topologies) * reps; total > e.opt.RetainJobs {
+	if total := batchJobs(b, reps); total > e.opt.RetainJobs {
 		return nil, fmt.Errorf("engine: batch expands to %d jobs, exceeding the retention window of %d", total, e.opt.RetainJobs)
 	}
 	seed := b.Seed

@@ -36,10 +36,20 @@ var ErrInvalidSpec = errors.New("engine: invalid job spec")
 // the paper's default of 50.
 const MaxNumHierarchies = 4096
 
+// MaxTimerWorkers caps JobSpec.TimerWorkers at admission. TIMER
+// allocates a scratch arena and starts a goroutine per worker for every
+// batch of hierarchies, so an unbounded count exhausts memory as soon
+// as the job starts, and a durable engine again on every replay. 64 is
+// 8× the largest width this repository runs (8, in the core tests).
+const MaxTimerWorkers = 64
+
 // validate rejects a spec that no worker should be allowed to start.
 func (s JobSpec) validate() error {
 	if s.NumHierarchies > MaxNumHierarchies {
 		return fmt.Errorf("%w: num_hierarchies %d exceeds the cap of %d", ErrInvalidSpec, s.NumHierarchies, MaxNumHierarchies)
+	}
+	if s.TimerWorkers > MaxTimerWorkers {
+		return fmt.Errorf("%w: timer_workers %d exceeds the cap of %d", ErrInvalidSpec, s.TimerWorkers, MaxTimerWorkers)
 	}
 	return nil
 }

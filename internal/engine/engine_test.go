@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -208,6 +210,45 @@ func TestNumHierarchiesCap(t *testing.T) {
 	}
 	if len(e.Jobs()) != 0 {
 		t.Errorf("%d jobs registered after refused submissions", len(e.Jobs()))
+	}
+}
+
+func TestTimerWorkersCap(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	spec := testJobSpec(1)
+	spec.TimerWorkers = 1 << 40
+	if _, err := e.Submit(spec); !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), "timer_workers") {
+		t.Errorf("Submit over the timer_workers cap: err = %v, want ErrInvalidSpec naming timer_workers", err)
+	}
+	if _, err := e.Run(spec); !errors.Is(err, ErrInvalidSpec) {
+		t.Errorf("Run over the timer_workers cap: err = %v, want ErrInvalidSpec", err)
+	}
+	spec.TimerWorkers = MaxTimerWorkers
+	if _, err := e.Run(spec); err != nil {
+		t.Errorf("Run at the timer_workers cap: %v", err)
+	}
+}
+
+func TestBatchFanOutCap(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	gs := testJobSpec(1).Graph
+	for _, b := range []BatchSpec{
+		{Graphs: []GraphSpec{gs}, Topologies: []string{"grid:4x4"}, Reps: 1 << 40},
+		// 2 × 2 × (MaxInt/2+1) wraps to a small product without the
+		// saturating multiply.
+		{Graphs: []GraphSpec{gs, gs}, Topologies: []string{"grid:4x4", "grid:4x2"}, Reps: math.MaxInt/2 + 1},
+	} {
+		if _, err := ExpandBatch(b); !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), "reps") {
+			t.Errorf("ExpandBatch reps %d: err = %v, want ErrInvalidSpec naming reps", b.Reps, err)
+		}
+		if _, err := e.SubmitBatch(b); err == nil {
+			t.Errorf("SubmitBatch reps %d accepted", b.Reps)
+		}
+	}
+	if len(e.Jobs()) != 0 {
+		t.Errorf("%d jobs registered after refused batches", len(e.Jobs()))
 	}
 }
 

@@ -377,6 +377,37 @@ func TestRouterServesReadmeBatch(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesOversizedBatch posts a batch whose fan-out would
+// need petabytes of job specs: the router answers 400 naming reps
+// before expanding it, and keeps serving.
+func TestRouterRefusesOversizedBatch(t *testing.T) {
+	rt, srv := fastRouter(t, []string{startReplicaAt(t, "", engine.Options{Workers: 1}).url()})
+	waitUsable(t, rt, 1)
+
+	body := `{"graphs":[{"network":"p2p-Gnutella","scale":0.05}],"topologies":["grid:4x4"],"case":"identity","reps":1099511627776}`
+	resp, err := http.Post(srv.URL+"/v1/batches", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]any
+	json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized batch: status %d, want 400 (%v)", resp.StatusCode, out)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "reps") {
+		t.Errorf("error %q does not name reps", msg)
+	}
+	resp, err = http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after oversized batch: %d", resp.StatusCode)
+	}
+}
+
 func TestRouterBatchScatterMatchesSingleEngine(t *testing.T) {
 	var urls []string
 	for i := 0; i < 3; i++ {

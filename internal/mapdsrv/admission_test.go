@@ -266,17 +266,30 @@ func TestLedgerSurvivesServerRestart(t *testing.T) {
 // a non-retryable 400 naming the field, leave no ledger record, and
 // leave the server serving.
 func TestNumHierarchiesCapRejectedAt400(t *testing.T) {
+	assertRefusedAt400(t, `{"graph":{"network":"p2p-Gnutella","scale":0.05,"seed":11},"topology":"grid:4x4","num_hierarchies":1099511627776}`, "num_hierarchies")
+}
+
+// TestTimerWorkersCapRejectedAt400 is the timer_workers twin: without
+// the cap this spec dies of an out-of-memory fatal error as soon as a
+// worker starts it, and a durable mapd again on every replay.
+func TestTimerWorkersCapRejectedAt400(t *testing.T) {
+	assertRefusedAt400(t, `{"graph":{"network":"p2p-Gnutella","scale":0.05,"seed":11},"topology":"grid:4x4","timer_workers":1099511627776}`, "timer_workers")
+}
+
+// assertRefusedAt400 posts a poison spec to a durable mapd and checks
+// the 400 names field, the server stays up and the ledger stays empty.
+func assertRefusedAt400(t *testing.T, poison, field string) {
+	t.Helper()
 	dir := t.TempDir()
 	eng := engine.New(engine.Options{Workers: 1, JobDir: dir})
 	srv := httptest.NewServer(New(eng, Config{}))
 
-	poison := `{"graph":{"network":"p2p-Gnutella","scale":0.05,"seed":11},"topology":"grid:4x4","num_hierarchies":1099511627776}`
 	var out map[string]any
 	if code := postJSON(t, srv.URL+"/v1/jobs", poison, &out); code != http.StatusBadRequest {
 		t.Fatalf("poison spec: status %d, want 400 (%v)", code, out)
 	}
-	if msg, _ := out["error"].(string); !strings.Contains(msg, "num_hierarchies") {
-		t.Errorf("error %q does not name num_hierarchies", msg)
+	if msg, _ := out["error"].(string); !strings.Contains(msg, field) {
+		t.Errorf("error %q does not name %s", msg, field)
 	}
 	var health map[string]any
 	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusOK {

@@ -2,6 +2,8 @@ package netgen
 
 import (
 	"fmt"
+	"io"
+	"text/tabwriter"
 
 	"repro/internal/graph"
 )
@@ -87,43 +89,21 @@ func (s NetworkSpec) ScaledV(scale float64) int {
 	return n
 }
 
-// SuiteOption restricts the generated suite.
-type SuiteOption struct {
-	// Scale shrinks every instance (default 1.0 = paper size).
-	Scale float64
-	// MaxVertices skips instances whose scaled size exceeds the bound
-	// (0 = keep all).
-	MaxVertices int
-	// MaxEdges skips instances whose scaled edge count exceeds the bound
-	// (0 = keep all). The coPapers* instances are an order of magnitude
-	// denser than the rest of the suite; CI-scale runs drop them with
-	// this knob.
-	MaxEdges int
-	// Seed is the base seed; instance i uses Seed+i.
-	Seed int64
-}
-
 // Instance is a generated network with its provenance.
 type Instance struct {
 	Spec NetworkSpec
 	G    *graph.Graph
 }
 
-// GenerateSuite builds the Table 1 suite.
-func GenerateSuite(opt SuiteOption) []Instance {
-	if opt.Scale <= 0 {
-		opt.Scale = 1
+// WriteTable1 prints the network suite in the layout of the paper's
+// Table 1, annotated with the generated stand-in sizes.
+func WriteTable1(w io.Writer, nets []Instance) error {
+	fmt.Fprintln(w, "Table 1: Complex networks used for benchmarking.")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "Name\tpaper #vertices\tpaper #edges\tgenerated #v\tgenerated #e\tmodel\tType")
+	for _, n := range nets {
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%s\t%s\n",
+			n.Spec.Name, n.Spec.FullV, n.Spec.FullE, n.G.N(), n.G.M(), n.Spec.Model, n.Spec.Type)
 	}
-	var out []Instance
-	for i, spec := range Catalog() {
-		n := int(float64(spec.FullV) * opt.Scale)
-		if opt.MaxVertices > 0 && n > opt.MaxVertices {
-			continue
-		}
-		if opt.MaxEdges > 0 && int(float64(spec.FullE)*opt.Scale) > opt.MaxEdges {
-			continue
-		}
-		out = append(out, Instance{Spec: spec, G: spec.Generate(opt.Scale, opt.Seed+int64(i))})
-	}
-	return out
+	return tw.Flush()
 }

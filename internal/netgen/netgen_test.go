@@ -1,7 +1,9 @@
 package netgen
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -111,17 +113,22 @@ func TestGenerateScaledShape(t *testing.T) {
 	}
 }
 
-func TestGenerateSuite(t *testing.T) {
-	suite := GenerateSuite(SuiteOption{Scale: 0.01, MaxVertices: 4000, Seed: 5})
-	if len(suite) == 0 {
-		t.Fatal("empty suite")
+func TestWriteTable1(t *testing.T) {
+	var nets []Instance
+	for _, spec := range Catalog()[:3] {
+		nets = append(nets, Instance{Spec: spec, G: spec.Generate(0.01, 5)})
 	}
-	for _, inst := range suite {
-		if inst.G.N() > 4500 {
-			t.Errorf("%s: %d vertices exceed MaxVertices filter headroom", inst.Spec.Name, inst.G.N())
-		}
-		if !inst.G.IsConnected() {
-			t.Errorf("%s: disconnected", inst.Spec.Name)
+	var buf bytes.Buffer
+	if err := WriteTable1(&buf, nets); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2+len(nets) || !strings.HasPrefix(lines[0], "Table 1:") {
+		t.Fatalf("want a title, a header and %d rows, got:\n%s", len(nets), buf.String())
+	}
+	for i, n := range nets {
+		if !strings.HasPrefix(lines[2+i], n.Spec.Name+" ") {
+			t.Errorf("row %d = %q, want network %s", i, lines[2+i], n.Spec.Name)
 		}
 	}
 }
