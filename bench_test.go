@@ -187,12 +187,12 @@ func BenchmarkTimerEnhance(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineTopologyCache measures one mapping job through the
-// engine with a cold topology cache (fresh engine per iteration, the
-// labeling is rebuilt every time) versus a warm one (shared engine, the
-// labeling is built once) — the latency win the engine's shared cache
-// buys every request after the first.
-func BenchmarkEngineTopologyCache(b *testing.B) {
+// BenchmarkEngineArtifactCache measures one mapping job through the
+// engine with a cold artifact cache (fresh engine per iteration, the
+// labeling, graph and partition are rebuilt every time) versus a warm
+// one (shared engine, each is built once) — the latency win the
+// engine's shared cache buys every request after the first.
+func BenchmarkEngineArtifactCache(b *testing.B) {
 	spec := engine.JobSpec{
 		Graph:          engine.GraphSpec{Network: "p2p-Gnutella", Scale: 0.05, Seed: 11},
 		Topology:       "torus:16x16",
@@ -223,9 +223,9 @@ func BenchmarkEngineTopologyCache(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		hits, misses := eng.Cache().Stats()
-		b.ReportMetric(float64(hits)/float64(b.N), "cache_hits/op")
-		b.ReportMetric(float64(misses)/float64(b.N), "cache_misses/op")
+		st := eng.Stats().Artifacts
+		b.ReportMetric(float64(st.Hits)/float64(b.N), "cache_hits/op")
+		b.ReportMetric(float64(st.Misses)/float64(b.N), "cache_misses/op")
 	})
 }
 

@@ -18,9 +18,10 @@ var probes = []probe{wideProbe, warmProbe, restartProbe, fleetProbe}
 // wide run's width in perf.wide_width. The artifact cache is off so
 // the wide run cannot reuse the sequential run's partition, the graph
 // is pinned so netgen time is excluded, and an untimed NH-4 warm-up of
-// both paths fills the topology cache, scratch pools and helper tokens
-// first. On a single-CPU host the speedup floor is about 1: helpers
-// only interleave.
+// both paths fills the scratch pools and helper tokens first (the
+// 64-PE labeling is rebuilt per job, a negligible cost). On a
+// single-CPU host the speedup floor is about 1: helpers only
+// interleave.
 var wideProbe = probe{
 	name: "wide",
 	jobs: func(seed int64) []engine.JobSpec {

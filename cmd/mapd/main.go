@@ -1,6 +1,6 @@
 // Command mapd serves the concurrent mapping engine over HTTP: submit
 // partition→map→enhance jobs, poll their status and stage timings, and
-// inspect the shared topology cache.
+// inspect the shared artifact cache (topologies, graphs, partitions).
 //
 // Usage:
 //
@@ -92,10 +92,12 @@ func main() {
 		if *prewarm == "paper" {
 			specs = topology.KnownSpecs()
 		}
-		for _, err := range eng.Cache().Prewarm(specs...) {
-			log.Printf("mapd: prewarm: %v", err)
+		for _, spec := range specs {
+			if _, err := eng.Topology(spec); err != nil {
+				log.Printf("mapd: prewarm: %v", err)
+			}
 		}
-		for _, info := range eng.Cache().Snapshot() {
+		for _, info := range eng.Artifacts().Topologies() {
 			log.Printf("mapd: cached %s (%d PEs, dim %d) in %.3fs", info.Spec, info.PEs, info.Dim, info.BuildSeconds)
 		}
 	}

@@ -28,7 +28,7 @@ type RunOptions struct {
 	// Progress, when non-nil, receives one line per completed scenario.
 	Progress func(line string)
 	// Engine, when non-nil, runs the matrix on an existing engine
-	// (sharing its topology cache) instead of a private one. The
+	// (sharing its artifact cache) instead of a private one. The
 	// engine's queue and retention window must cover the whole matrix.
 	Engine *engine.Engine
 }

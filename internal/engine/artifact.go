@@ -2,15 +2,20 @@ package engine
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/topology"
 )
 
 // ArtifactCache memoizes expensive pipeline artifacts under
-// content-addressed keys: materialized graphs (netgen generation keyed
-// by canonical spec) and multilevel partitions (keyed by graph
+// content-addressed keys: partial-cube topologies (keyed by canonical
+// topology spec), materialized graphs (netgen generation keyed by
+// canonical spec) and multilevel partitions (keyed by graph
 // fingerprint, block count, imbalance and partition seed). It is the
 // batch-level complement of the per-worker scratch arenas — the arenas
 // make each stage allocation-free, the artifact cache eliminates whole
@@ -18,18 +23,19 @@ import (
 //
 // Three properties matter for correctness:
 //
-//   - values are immutable once published: a cached *graph.Graph or
-//     *partition.Result is shared read-only by every job that hits it
-//     (the pipeline's consumers copy before mutating — FromPartition
-//     and Compose allocate fresh assignments), so eviction merely drops
-//     the cache's reference; holders keep theirs and never observe the
-//     backing arrays being reused;
+//   - values are immutable once published: a cached *graph.Graph,
+//     *partition.Result or *topology.Topology is shared read-only by
+//     every job that hits it (the pipeline's consumers copy before
+//     mutating — FromPartition and Compose allocate fresh
+//     assignments), so eviction merely drops the cache's reference;
+//     holders keep theirs and never observe the backing arrays being
+//     reused;
 //   - single-flight coalescing: concurrent requests for the same key
 //     block on the first requester's computation instead of duplicating
 //     it, and each key's builder runs exactly once per residency;
-//   - failed builds are cached like the topology cache's: a
-//     deterministic failure (graph too small for K, say) keeps failing
-//     without re-running the build.
+//   - failed builds are cached too: a deterministic failure (graph too
+//     small for K, an odd torus) keeps failing without re-running the
+//     build.
 //
 // The cache is bounded both by entry count and by the approximate byte
 // footprint of its values; eviction is LRU over fully-built entries.
@@ -64,10 +70,13 @@ type ArtifactCache struct {
 
 type artifactEntry struct {
 	key   string
-	ready chan struct{} // closed when val/err are set
+	ready chan struct{} // closed when val/err/buildSeconds are set
 	val   any
 	bytes int64
 	err   error
+
+	buildSeconds float64
+	hits         int64 // lookups beyond the building one; under cache mu
 }
 
 // Artifact cache defaults: generous enough to hold a whole batch's
@@ -139,6 +148,7 @@ func (c *ArtifactCache) do(key string, build func() (any, int64, error)) (any, e
 		default:
 			inflight = true
 		}
+		e.hits++
 		c.touchLocked(key)
 		c.mu.Unlock()
 		<-e.ready
@@ -194,7 +204,9 @@ func (c *ArtifactCache) do(key string, build func() (any, int64, error)) (any, e
 			panic(r) // the building caller still observes its own panic
 		}
 	}()
+	t0 := time.Now()
 	e.val, e.bytes, e.err = build()
+	e.buildSeconds = time.Since(t0).Seconds()
 	publish()
 	return e.val, e.err
 }
@@ -328,6 +340,134 @@ func (c *ArtifactCache) Partition(key string, build func() (*partition.Result, e
 		return nil, !built, fmt.Errorf("engine: artifact %q holds %T, not a partition", key, v)
 	}
 	return p, !built, nil
+}
+
+// topoKeyPrefix prefixes the canonical spec in a topology's cache key.
+// persistable does not admit it: the disk tier stores only graphs and
+// partitions.
+const topoKeyPrefix = "topo:"
+
+// maxCachePEs caps the size of topologies the engine will build: specs
+// arrive over an unauthenticated HTTP surface, and something like
+// "hypercube:30" would attempt tens of GB of allocation — an OOM kill
+// that recover() cannot catch. 2^16 PEs is two orders of magnitude
+// beyond the paper's machines while keeping builds fast and small.
+const maxCachePEs = 1 << 16
+
+// maxValidatePEs bounds the construction-time isometry check:
+// Topology.Validate is O(P·(P+E)) all-pairs BFS, affordable insurance
+// at paper scale but a worker-pinning liability beyond it. Larger
+// (still capped) topologies trust the analytic generators, which the
+// topology package cross-checks against the recognizer in its tests.
+const maxValidatePEs = 1 << 12
+
+// Topology returns the partial-cube topology for spec, building it on
+// first use under the key "topo:<canonical spec>", so every spelling
+// of one processor graph shares one labeling. Unparsable specs and
+// specs over maxCachePEs fail before the cache and leave no entry;
+// failed builds (an odd torus, say) are cached like any other failure.
+// Labelings count against the byte bound with their distance tables,
+// which dominate their footprint. On a nil receiver — the engine's
+// disabled cache — every call builds afresh.
+func (c *ArtifactCache) Topology(spec string) (*topology.Topology, error) {
+	parsed, err := topology.ParseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	if p := parsed.PEs(); p > maxCachePEs {
+		return nil, fmt.Errorf("engine: topology %s has %d PEs, exceeding the serving limit of %d", parsed, p, maxCachePEs)
+	}
+	if c == nil {
+		return buildTopology(parsed)
+	}
+	key := topoKeyPrefix + parsed.String()
+	v, err := c.do(key, func() (any, int64, error) {
+		t, err := buildTopology(parsed)
+		if err != nil {
+			return nil, 0, err
+		}
+		return t, t.FootprintBytes(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t, ok := v.(*topology.Topology)
+	if !ok {
+		return nil, fmt.Errorf("engine: artifact %q holds %T, not a topology", key, v)
+	}
+	return t, nil
+}
+
+// buildTopology builds a labeling for sharing: it verifies isometry
+// once instead of trusting the generator (only at paper scale; see
+// maxValidatePEs), then pays the lazy PEOf index and all-pairs distance
+// table up front, so no job served from it stalls on a first use (the
+// table is nil beyond its size cap; consumers fall back to Hamming
+// distances).
+func buildTopology(parsed topology.Spec) (*topology.Topology, error) {
+	t, err := parsed.Build()
+	if err != nil {
+		return nil, err
+	}
+	if t.P() <= maxValidatePEs {
+		if err := t.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	t.PEOf(t.Labels[0])
+	t.DistanceTable()
+	return t, nil
+}
+
+// CacheInfo describes one cached topology for introspection endpoints.
+type CacheInfo struct {
+	// Spec is the canonical topology spec string keying the entry; PEs
+	// and Dim are the built topology's processor count and labeling
+	// dimension.
+	Spec string `json:"spec"`
+	PEs  int    `json:"pes"`
+	Dim  int    `json:"dim"`
+	// BuildSeconds is the one-time construction cost the cache
+	// amortizes; Hits counts lookups served this entry.
+	BuildSeconds float64 `json:"build_seconds"`
+	Hits         int64   `json:"hits"`
+	// Failed marks a negative entry: the build errored (Error says
+	// why), and every lookup is served the same error.
+	Failed bool   `json:"failed,omitempty"`
+	Error  string `json:"error,omitempty"`
+}
+
+// Topologies lists the resident topology entries sorted by spec, for
+// mapd's GET /v1/topologies. Entries still being built are skipped
+// (they have no stats yet); a nil cache lists nothing.
+func (c *ArtifactCache) Topologies() []CacheInfo {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	var out []CacheInfo
+	for key, e := range c.entries {
+		spec, ok := strings.CutPrefix(key, topoKeyPrefix)
+		if !ok {
+			continue
+		}
+		select {
+		case <-e.ready:
+		default:
+			continue // build in flight
+		}
+		info := CacheInfo{Spec: spec, BuildSeconds: e.buildSeconds, Hits: e.hits}
+		if e.err != nil {
+			info.Failed = true
+			info.Error = e.err.Error()
+		} else if t, ok := e.val.(*topology.Topology); ok {
+			info.PEs, info.Dim = t.P(), t.Dim
+		}
+		out = append(out, info)
+	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Spec < out[j].Spec })
+	return out
 }
 
 // ArtifactStats is a point-in-time snapshot of the cache's counters,

@@ -221,7 +221,7 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 		for _, topoSpec := range b.Topologies {
 			skip := false
 			if b.SkipTooSmall {
-				topo, err := e.cache.Get(topoSpec)
+				topo, err := e.artifacts.Topology(topoSpec)
 				if err != nil {
 					return ids, err
 				}

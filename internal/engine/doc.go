@@ -4,8 +4,10 @@
 //
 // It owns three pieces:
 //
-//   - a TopologyCache sharing partial-cube labelings read-only across
-//     requests, keyed by canonical topology spec ("grid:16x16", ...);
+//   - an ArtifactCache sharing immutable stage outputs read-only across
+//     requests with single-flight builds and one entry/byte LRU bound:
+//     partial-cube labelings keyed by canonical topology spec
+//     ("topo:grid:16x16", ...), generated graphs and partitions;
 //   - a worker-pool job pipeline accepting mapping jobs (application
 //     graph + topology spec + case c1–c4 + TIMER options), executing
 //     them with bounded concurrency and per-stage timing;

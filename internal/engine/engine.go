@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/jobstore"
 	"repro/internal/mapping"
+	"repro/internal/partition"
 	"repro/internal/topology"
 )
 
@@ -51,6 +52,9 @@ func (s JobSpec) validate() error {
 	if s.TimerWorkers > MaxTimerWorkers {
 		return fmt.Errorf("%w: timer_workers %d exceeds the cap of %d", ErrInvalidSpec, s.TimerWorkers, MaxTimerWorkers)
 	}
+	if err := partition.CheckEpsilon(s.Epsilon); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
+	}
 	return nil
 }
 
@@ -70,11 +74,12 @@ type Options struct {
 	// dropping live work.
 	RetainJobs int
 	// ArtifactCacheEntries and ArtifactCacheBytes bound the engine's
-	// content-addressed artifact cache (materialized netgen graphs and
-	// multilevel partitions, shared across jobs with single-flight
-	// coalescing). Zero selects the defaults (1024 entries, 256 MiB);
-	// a negative ArtifactCacheEntries disables the cache entirely, so
-	// every job recomputes every stage (the pre-PR-5 behavior).
+	// content-addressed artifact cache (topology labelings,
+	// materialized netgen graphs and multilevel partitions, shared
+	// across jobs with single-flight coalescing). Zero selects the
+	// defaults (1024 entries, 256 MiB); a negative ArtifactCacheEntries
+	// disables the cache entirely, so every job recomputes every stage,
+	// the topology included.
 	ArtifactCacheEntries int
 	ArtifactCacheBytes   int64
 	// CacheDir, when non-empty, attaches a persistent disk tier to the
@@ -155,7 +160,6 @@ func (r *jobRecord) snapshot() Job {
 // done.
 type Engine struct {
 	opt       Options
-	cache     *TopologyCache
 	artifacts *ArtifactCache // nil when disabled via Options
 
 	mu      sync.Mutex
@@ -227,7 +231,6 @@ func New(opt Options) *Engine {
 	opt = opt.withDefaults()
 	e := &Engine{
 		opt:       opt,
-		cache:     NewTopologyCache(),
 		jobs:      make(map[string]*jobRecord),
 		stageSecs: make(map[string]float64),
 		dedup:     make(map[string]json.RawMessage),
@@ -300,16 +303,14 @@ func (e *Engine) Workers() int { return e.opt.Workers }
 // QueueDepth returns the number of jobs queued but not yet started.
 func (e *Engine) QueueDepth() int { return len(e.pending) }
 
-// Cache exposes the engine's topology cache (shared, read-mostly).
-func (e *Engine) Cache() *TopologyCache { return e.cache }
-
 // Artifacts exposes the engine's content-addressed artifact cache, or
 // nil when it was disabled via Options.
 func (e *Engine) Artifacts() *ArtifactCache { return e.artifacts }
 
-// Topology resolves a spec through the cache, building it on first use.
+// Topology resolves a spec through the artifact cache, building it on
+// first use (and on every use when the cache is disabled).
 func (e *Engine) Topology(spec string) (*topology.Topology, error) {
-	return e.cache.Get(spec)
+	return e.artifacts.Topology(spec)
 }
 
 // Submit enqueues a job and returns its snapshot (status "queued"). It
@@ -472,7 +473,7 @@ func (e *Engine) Run(spec JobSpec) (*JobResult, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	return runPipeline(spec, e.cache.Get, e.GraphByRef, nil, nil, e.artifacts, nil)
+	return runPipeline(spec, e.GraphByRef, nil, nil, e.artifacts, nil)
 }
 
 // Stats is a point-in-time snapshot of the engine's pool state, served
@@ -620,7 +621,7 @@ func (e *Engine) runGuarded(spec JobSpec, rec *jobRecord, ws *workerScratch) (re
 		st = &wideState{}
 		spawn = e.spawnFor(spec.Wide, st)
 	}
-	res, err = runPipeline(spec, e.cache.Get, e.GraphByRef, func(name string, seconds float64) {
+	res, err = runPipeline(spec, e.GraphByRef, func(name string, seconds float64) {
 		if seconds >= 0 {
 			e.stageMu.Lock()
 			e.stageSecs[name] += seconds

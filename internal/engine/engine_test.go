@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/netgen"
+	"repro/internal/partition"
 )
 
 func testJobSpec(seed int64) JobSpec {
@@ -230,6 +231,25 @@ func TestTimerWorkersCap(t *testing.T) {
 	}
 }
 
+func TestEpsilonCap(t *testing.T) {
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	spec := testJobSpec(1)
+	for _, eps := range []float64{100, math.Inf(1), math.NaN()} {
+		spec.Epsilon = eps
+		if _, err := e.Submit(spec); !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), "epsilon") {
+			t.Errorf("Submit with epsilon %g: err = %v, want ErrInvalidSpec naming epsilon", eps, err)
+		}
+		if _, err := e.Run(spec); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("Run with epsilon %g: err = %v, want ErrInvalidSpec", eps, err)
+		}
+	}
+	spec.Epsilon = partition.MaxEpsilon
+	if _, err := e.Run(spec); err != nil {
+		t.Errorf("Run at the epsilon cap: %v", err)
+	}
+}
+
 func TestBatchFanOutCap(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
@@ -316,12 +336,12 @@ func TestBatchFanOut(t *testing.T) {
 		t.Error("rep 0 seeds differ across topologies")
 	}
 	// The two topologies were each built once; reps hit the cache.
-	hits, misses := e.Cache().Stats()
-	if misses != 2 {
-		t.Errorf("cache misses = %d, want 2 (one build per topology)", misses)
+	topos := e.Artifacts().Topologies()
+	if len(topos) != 2 {
+		t.Fatalf("cached topologies = %+v, want 2 (one build per topology)", topos)
 	}
-	if hits < 2 {
-		t.Errorf("cache hits = %d, want ≥ 2 (reps reuse labelings)", hits)
+	if hits := topos[0].Hits + topos[1].Hits; hits < 2 {
+		t.Errorf("topology hits = %d, want ≥ 2 (reps reuse labelings)", hits)
 	}
 }
 

@@ -430,21 +430,20 @@ func moreThanOne(flags ...bool) bool {
 }
 
 // runPipeline executes the partition → initial mapping → TIMER pipeline
-// of one job. resolve supplies the topology (cache-backed for engine
-// jobs); resolveRef supplies ingested graphs by reference (nil when the
-// calling context has no ingest registry); stage is called before each
-// step begins and receives the step's duration after it ends, so
-// callers can stream progress. ws, when non-nil, carries the calling
-// worker's reusable scratch arenas (base stage + TIMER); without it,
-// every stage borrows from its package pool. arts, when non-nil,
-// memoizes whole stages across jobs: netgen graph materialization by
-// canonical spec key and multilevel partitions by (graph fingerprint,
-// K, ε, partition seed), with single-flight coalescing of concurrent
-// identical requests. spawn, when non-nil, is the wide-mode helper hook
-// handed to the partition and TIMER stages (see wide.go); results are
-// byte-identical with or without it.
-func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
-	resolveRef func(string) (*graph.Graph, error),
+// of one job. resolveRef supplies ingested graphs by reference (nil
+// when the calling context has no ingest registry); stage is called
+// before each step begins and receives the step's duration after it
+// ends, so callers can stream progress. ws, when non-nil, carries the
+// calling worker's reusable scratch arenas (base stage + TIMER);
+// without it, every stage borrows from its package pool. arts, when
+// non-nil, memoizes whole stages across jobs: topologies by canonical
+// spec, netgen graph materialization by canonical spec key and
+// multilevel partitions by (graph fingerprint, K, ε, partition seed),
+// with single-flight coalescing of concurrent identical requests; when
+// nil, every stage is computed afresh. spawn, when non-nil, is the
+// wide-mode helper hook handed to the partition and TIMER stages (see
+// wide.go); results are byte-identical with or without it.
+func runPipeline(spec JobSpec, resolveRef func(string) (*graph.Graph, error),
 	stage func(name string, seconds float64), ws *workerScratch, arts *ArtifactCache,
 	spawn func(func()) bool) (*JobResult, error) {
 	spec = spec.withDefaults()
@@ -469,7 +468,7 @@ func runPipeline(spec JobSpec, resolve func(string) (*topology.Topology, error),
 			return nil
 		}
 		var err error
-		topo, err = resolve(spec.Topology)
+		topo, err = arts.Topology(spec.Topology)
 		return err
 	}); err != nil {
 		return nil, err

@@ -48,12 +48,12 @@ func TestSharedPartitionBatch(t *testing.T) {
 
 	// One partition build per rep: the three partition-based cases (c2,
 	// c3, c4) × 2 reps are 6 partition stages served by 2 builds. The
-	// graph artifact is built once for all 8 jobs.
+	// graph and topology artifacts are built once each for all 8 jobs.
 	st := eShared.Stats().Artifacts
 	if st == nil {
 		t.Fatal("artifact stats missing with the cache enabled")
 	}
-	partBuilds := st.Misses - 1 // one miss is the graph artifact
+	partBuilds := st.Misses - 2 // one miss each for the graph and the topology
 	if partBuilds != 2 {
 		t.Errorf("shared mode computed %d partitions for 2 reps, want 2 (stats %+v)", partBuilds, st)
 	}

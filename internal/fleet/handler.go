@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -62,14 +63,20 @@ func writeUpstreamError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusServiceUnavailable, err)
 }
 
+// submitJob decodes the spec exactly as mapd does — unknown fields and
+// oversized bodies are 400s — so a typo'd field is refused here instead
+// of being dropped on the way to a replica. The raw bytes are kept for
+// routingKey's fallback.
 func (rt *Router) submitJob(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	var spec engine.JobSpec
-	if err := json.Unmarshal(body, &spec); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
@@ -86,7 +93,7 @@ func (rt *Router) submitJob(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
 	var batch engine.BatchSpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&batch); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch spec: %w", err))

@@ -408,6 +408,37 @@ func TestRouterRefusesOversizedBatch(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesUnknownJobField checks the router decodes job specs
+// as strictly as mapd: a misspelled field is a 400 at the router, not a
+// job silently run with the field's default.
+func TestRouterRefusesUnknownJobField(t *testing.T) {
+	rt, srv := fastRouter(t, []string{startReplicaAt(t, "", engine.Options{Workers: 1}).url()})
+	waitUsable(t, rt, 1)
+
+	post := func(body string) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out
+	}
+	const valid = `{"graph":{"network":"p2p-Gnutella","scale":0.05,"seed":11},"topology":"grid:4x4","num_hierarchies":5}`
+	code, out := post(`{"graph":{"network":"p2p-Gnutella","scale":0.05,"seed":11},"topology":"grid:4x4","num_hierarchy":5}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("unknown field: status %d, want 400 (%v)", code, out)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "num_hierarchy") {
+		t.Errorf("error %q does not name the unknown field", msg)
+	}
+	if code, out := post(valid); code != http.StatusAccepted {
+		t.Fatalf("valid spec: status %d, want 202 (%v)", code, out)
+	}
+}
+
 func TestRouterBatchScatterMatchesSingleEngine(t *testing.T) {
 	var urls []string
 	for i := 0; i < 3; i++ {

@@ -156,11 +156,8 @@ func (c *Client) backoff(attempt int, lastErr error) time.Duration {
 }
 
 // attempt performs a single HTTP round trip under the per-attempt
-// deadline, routing through the armed failpoints first.
+// deadline.
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte, out any) error {
-	if err := failpointEnter(); err != nil {
-		return err
-	}
 	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	defer cancel()
 	var rd io.Reader

@@ -276,6 +276,13 @@ func TestTimerWorkersCapRejectedAt400(t *testing.T) {
 	assertRefusedAt400(t, `{"graph":{"network":"p2p-Gnutella","scale":0.05,"seed":11},"topology":"grid:4x4","timer_workers":1099511627776}`, "timer_workers")
 }
 
+// TestEpsilonCapRejectedAt400 is the epsilon twin: admitted, a huge
+// imbalance lets a bisection empty one side and the partitioner panics,
+// failing the job as a crash instead of a client error.
+func TestEpsilonCapRejectedAt400(t *testing.T) {
+	assertRefusedAt400(t, `{"graph":{"network":"p2p-Gnutella","scale":0.05,"seed":11},"topology":"grid:4x4","epsilon":1e6}`, "epsilon")
+}
+
 // assertRefusedAt400 posts a poison spec to a durable mapd and checks
 // the 400 names field, the server stays up and the ledger stays empty.
 func assertRefusedAt400(t *testing.T, poison, field string) {

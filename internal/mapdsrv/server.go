@@ -38,7 +38,7 @@ import (
 //	                       the registration with its "ref" for job specs
 //	GET  /v1/graphs        list ingested graphs
 //	GET  /v1/graphs/{ref}  one ingested graph's registration
-//	GET  /v1/topologies    topology cache contents + hit/miss stats
+//	GET  /v1/topologies    cached topologies: build time + hits per entry
 //	GET  /v1/bench/matrices  canonical benchmark matrices (smoke, paper)
 //	GET  /v1/stats         runtime + pool statistics (goroutines, jobs served)
 //	GET  /healthz          liveness + pool stats (always 200 while the
@@ -403,13 +403,10 @@ func (s *server) getGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"graph": info})
 }
 
+// topologies lists the cached labelings; lookup totals are part of the
+// artifact counters in /v1/stats.
 func (s *server) topologies(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.eng.Cache().Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"topologies": s.eng.Cache().Snapshot(),
-		"hits":       hits,
-		"misses":     misses,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"topologies": s.eng.Artifacts().Topologies()})
 }
 
 // benchMatrices serves the canonical benchmark matrices, so clients
@@ -424,12 +421,12 @@ func (s *server) benchMatrices(w http.ResponseWriter, r *http.Request) {
 // under load: goroutine count, heap footprint, worker-pool and queue
 // state, jobs served, cumulative per-stage seconds (the engine's
 // partition/map/enhance split — how much of the fleet's time goes to
-// the base stage vs TIMER), artifact-cache hit/miss/in-flight counters
-// (inside the engine block), and topology-cache effectiveness.
+// the base stage vs TIMER), and artifact-cache hit/miss/in-flight
+// counters covering topologies, graphs and partitions (inside the
+// engine block).
 func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	hits, misses := s.eng.Cache().Stats()
 	payload := map[string]any{
 		"engine":            s.eng.Stats(),
 		"goroutines":        runtime.NumGoroutine(),
@@ -437,11 +434,6 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 		"total_alloc_bytes": mem.TotalAlloc,
 		"num_gc":            mem.NumGC,
 		"shed_total":        s.shedTotal.Load(),
-		"topology_cache": map[string]any{
-			"entries": len(s.eng.Cache().Snapshot()),
-			"hits":    hits,
-			"misses":  misses,
-		},
 	}
 	if adm := s.limit.snapshot(); adm != nil {
 		payload["admission"] = adm

@@ -119,8 +119,6 @@ func TestMapdRoundTrip(t *testing.T) {
 
 	var topos struct {
 		Topologies []engine.CacheInfo `json:"topologies"`
-		Hits       int64              `json:"hits"`
-		Misses     int64              `json:"misses"`
 	}
 	if code := getJSON(t, srv.URL+"/v1/topologies", &topos); code != http.StatusOK {
 		t.Fatalf("GET /v1/topologies: %d", code)
@@ -128,8 +126,8 @@ func TestMapdRoundTrip(t *testing.T) {
 	if len(topos.Topologies) != 1 || topos.Topologies[0].Spec != "grid:4x4" {
 		t.Fatalf("topologies = %+v, want the one cached grid", topos.Topologies)
 	}
-	if topos.Misses != 1 || topos.Hits < 1 {
-		t.Errorf("cache stats hits=%d misses=%d, want one build and ≥1 reuse", topos.Hits, topos.Misses)
+	if topos.Topologies[0].Hits < 1 {
+		t.Errorf("grid entry %+v, want ≥1 reuse", topos.Topologies[0])
 	}
 
 	// Determinism across the HTTP boundary: both jobs used seed 42.

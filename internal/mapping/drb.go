@@ -42,6 +42,9 @@ func (sc *Scratch) DRB(ga *graph.Graph, topo *topology.Topology, cfg DRBConfig) 
 	if cfg.Epsilon <= 0 {
 		cfg.Epsilon = 0.03
 	}
+	if err := partition.CheckEpsilon(cfg.Epsilon); err != nil {
+		return nil, err
+	}
 	if ga.N() < topo.P() {
 		return nil, fmt.Errorf("mapping: application graph has %d vertices for %d PEs", ga.N(), topo.P())
 	}

@@ -24,7 +24,8 @@ type Config struct {
 	// K is the number of blocks (≥ 1).
 	K int
 	// Epsilon is the allowed imbalance: every block's weight is at most
-	// (1+Epsilon)·⌈W/K⌉ (paper Eq. (1)). The paper uses 0.03.
+	// (1+Epsilon)·⌈W/K⌉ (paper Eq. (1)). The paper uses 0.03; values
+	// above MaxEpsilon are refused.
 	Epsilon float64
 	// Seed drives all randomized components.
 	Seed int64
@@ -63,6 +64,21 @@ type Config struct {
 	Spawn func(func()) bool
 }
 
+// MaxEpsilon caps Config.Epsilon: at 1 a block may weigh twice the
+// average, 33× the paper's 0.03. Far beyond it the balance bound stops
+// constraining anything, a bisection may leave one side empty, and the
+// recursion then crashes trying to grow a block in an empty subgraph.
+const MaxEpsilon = 1
+
+// CheckEpsilon refuses an imbalance over MaxEpsilon, or NaN. Partition,
+// PartitionProportional, mapping.DRB and engine job admission apply it.
+func CheckEpsilon(eps float64) error {
+	if eps > MaxEpsilon || math.IsNaN(eps) {
+		return fmt.Errorf("partition: epsilon %g exceeds the cap of %d", eps, MaxEpsilon)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Epsilon <= 0 {
 		c.Epsilon = 0.03
@@ -93,6 +109,9 @@ func Partition(g *graph.Graph, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("partition: K = %d, want ≥ 1", cfg.K)
+	}
+	if err := CheckEpsilon(cfg.Epsilon); err != nil {
+		return nil, err
 	}
 	if g.N() == 0 {
 		return &Result{Part: nil, K: cfg.K}, nil
@@ -248,6 +267,9 @@ func PartitionProportional(g *graph.Graph, cfg Config, frac float64, seed int64)
 	}
 	if frac <= 0 || frac >= 1 {
 		return nil, fmt.Errorf("partition: fraction %g out of (0,1)", frac)
+	}
+	if err := CheckEpsilon(cfg.Epsilon); err != nil {
+		return nil, err
 	}
 	sc := cfg.Scratch
 	if sc == nil {

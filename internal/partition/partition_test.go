@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -63,6 +64,17 @@ func TestPartitionErrors(t *testing.T) {
 	}
 	if _, err := Partition(g, Config{K: 10}); err == nil {
 		t.Error("K > total weight should fail")
+	}
+	for _, eps := range []float64{MaxEpsilon + 0.5, math.NaN()} {
+		if _, err := Partition(g, Config{K: 2, Epsilon: eps}); err == nil {
+			t.Errorf("epsilon %g should fail", eps)
+		}
+		if _, err := PartitionProportional(g, Config{Epsilon: eps}, 0.5, 1); err == nil {
+			t.Errorf("PartitionProportional with epsilon %g should fail", eps)
+		}
+	}
+	if _, err := Partition(g, Config{K: 2, Epsilon: MaxEpsilon}); err != nil {
+		t.Errorf("epsilon at the cap: %v", err)
 	}
 }
 

@@ -32,10 +32,10 @@ func (t *DistanceTable) Row(u int) []uint8 { return t.D[u*t.P : (u+1)*t.P] }
 // building it on first use (the same lazy-once pattern as PEOf: shared
 // topologies are hit by concurrent engine jobs). It returns nil when
 // the topology exceeds maxDistanceTablePEs; callers must then fall back
-// to Distance. The engine's TopologyCache prewarms the table at build
-// time so serving jobs never pay for it. Consumers whose own work is
-// cheaper than the O(P²) build (Coco/Dilation edge walks) use
-// PeekDistanceTable instead.
+// to Distance. The engine's artifact cache prewarms the table when it
+// builds a topology, so serving jobs never pay for it. Consumers whose
+// own work is cheaper than the O(P²) build (Coco/Dilation edge walks)
+// use PeekDistanceTable instead.
 func (t *Topology) DistanceTable() *DistanceTable {
 	t.distOnce.Do(t.buildDistanceTable)
 	return t.dist.Load()
@@ -47,6 +47,20 @@ func (t *Topology) DistanceTable() *DistanceTable {
 // large library-built topology must not pay for — and retain — a
 // multi-megabyte table to serve one O(m) edge walk.
 func (t *Topology) PeekDistanceTable() *DistanceTable { return t.dist.Load() }
+
+// FootprintBytes approximates the topology's heap footprint once its
+// PEOf index and distance table are built, as the engine's artifact
+// cache builds them: the graph's CSR arrays, the labels, the label→PE
+// map (about 32 bytes per PE) and the P×P table (absent beyond
+// maxDistanceTablePEs). It is the size-accounting unit of that cache.
+func (t *Topology) FootprintBytes() int64 {
+	p := int64(t.P())
+	n := t.G.FootprintBytes() + int64(len(t.Labels))*8 + p*32
+	if p <= maxDistanceTablePEs {
+		n += p * p
+	}
+	return n
+}
 
 func (t *Topology) buildDistanceTable() {
 	p := t.P()

@@ -57,7 +57,15 @@ func TestDistanceTableCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dt := at.DistanceTable(); dt == nil {
+	dt := at.DistanceTable()
+	if dt == nil {
 		t.Fatalf("%d-PE topology (at the cap) has no table", at.P())
+	}
+	// FootprintBytes charges the table exactly when one exists.
+	if fp := at.FootprintBytes(); fp < at.G.FootprintBytes()+int64(len(dt.D)) {
+		t.Errorf("%d-PE footprint %d B omits its %d-B table", at.P(), fp, len(dt.D))
+	}
+	if p := int64(big.P()); big.FootprintBytes() >= big.G.FootprintBytes()+p*p {
+		t.Errorf("%d-PE footprint %d B charges a table it has not got", p, big.FootprintBytes())
 	}
 }

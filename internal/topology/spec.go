@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// Spec is a parsed canonical topology specification. Specs are the cache
-// keys of the engine's topology cache: two textual specs that denote the
+// Spec is a parsed canonical topology specification. Specs key the
+// engine's cached topologies: two textual specs that denote the
 // same processor graph parse to the same canonical string, so the
 // expensive partial-cube labeling is built exactly once per topology.
 //

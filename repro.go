@@ -19,7 +19,7 @@
 //	fmt.Println(res.CocoBefore, "->", res.CocoAfter)
 //
 // For long-lived, concurrent use, NewEngine wraps the same pipeline in
-// the mapping engine: a shared topology cache, a worker-pool job queue
+// the mapping engine: a shared artifact cache, a worker-pool job queue
 // and a batch runner (served over HTTP by cmd/mapd):
 //
 //	eng := repro.NewEngine(repro.EngineOptions{})
@@ -86,7 +86,7 @@ type (
 	// mapper.
 	DRBConfig = mapping.DRBConfig
 
-	// Engine is the concurrent mapping engine: topology cache + job
+	// Engine is the concurrent mapping engine: artifact cache + job
 	// pipeline + batch runner.
 	Engine = engine.Engine
 	// EngineOptions sizes the engine's worker pool and job queue.
@@ -110,9 +110,10 @@ type (
 	BatchSpec = engine.BatchSpec
 	// Case selects the initial-mapping baseline c1–c4.
 	Case = engine.Case
-	// ArtifactCache is the engine's content-addressed memo of
-	// materialized graphs and partitions (single-flight, LRU-bounded);
-	// EngineOptions.ArtifactCacheEntries/ArtifactCacheBytes size it.
+	// ArtifactCache is the engine's content-addressed memo of topology
+	// labelings, materialized graphs and partitions (single-flight,
+	// LRU-bounded); EngineOptions.ArtifactCacheEntries/ArtifactCacheBytes
+	// size it.
 	ArtifactCache = engine.ArtifactCache
 	// ArtifactCacheStats reports the artifact cache's hit/miss/in-flight
 	// counters (Engine.Stats().Artifacts, mapd GET /v1/stats).
@@ -192,7 +193,7 @@ func PartitionWithConfig(g *Graph, cfg PartitionConfig) (*PartitionResult, error
 
 // NewEngine creates a concurrent mapping engine and starts its worker
 // pool. Close it when done. Submit/Wait/RunBatch run whole
-// partition→map→enhance pipelines; the engine's topology cache builds
+// partition→map→enhance pipelines; the engine's artifact cache builds
 // each partial-cube labeling once and shares it across jobs.
 func NewEngine(opt EngineOptions) *Engine { return engine.New(opt) }
 
