@@ -146,8 +146,16 @@ func Reverse(dim int) Permutation {
 
 // Random returns a uniformly random permutation on dim digits.
 func Random(rng *rand.Rand, dim int) Permutation {
-	p := Identity(dim)
-	rng.Shuffle(dim, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return RandomInto(rng, make(Permutation, dim))
+}
+
+// RandomInto is Random on len(p) digits, written into p. It consumes
+// the same rng stream as Random and returns p.
+func RandomInto(rng *rand.Rand, p Permutation) Permutation {
+	for i := range p {
+		p[i] = uint8(i)
+	}
+	rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -179,7 +180,7 @@ func TestSwapGainMatchesBruteForce(t *testing.T) {
 				labels[u], labels[v] = labels[v], labels[u] // restore
 				return after - before
 			}()
-			got := siblingSwapDelta(g, labels, u, v, sign)
+			got := siblingSwapDelta(identityLevel(g), labels, u, v, sign)
 			if got != want {
 				t.Fatalf("trial %d: swap delta = %d, brute force = %d (u=%d v=%d sign=%d)",
 					trial, got, want, u, v, sign)
@@ -209,11 +210,9 @@ func TestSwapPassNeverWorsens(t *testing.T) {
 			sign = 1
 		}
 		before := cocoPlusOfLabels(g, labels, lpMask, extMask)
-		byLabel := bitvec.NewLabelIndex(n)
-		for v, l := range labels {
-			byLabel.Put(l, int32(v))
-		}
-		swaps, gain := swapPass(g, labels, sign, byLabel)
+		sc := NewScratch()
+		sc.group(&hlevel{labels: labels}, &hlevel{})
+		swaps, gain := swapPass(identityLevel(g), labels, sc.partner, sign)
 		after := cocoPlusOfLabels(g, labels, lpMask, extMask)
 		if after > before {
 			t.Fatalf("trial %d: swap pass worsened Coco+ %d -> %d", trial, before, after)
@@ -224,38 +223,86 @@ func TestSwapPassNeverWorsens(t *testing.T) {
 			t.Fatalf("trial %d: incremental gain %d, recomputed %d (%d swaps)",
 				trial, gain, after-before, swaps)
 		}
-		// byLabel must stay consistent.
-		for v, l := range labels {
-			if got, ok := byLabel.Get(l); !ok || got != int32(v) {
-				t.Fatal("byLabel out of sync after swaps")
+		// Swaps keep every pair a pair of siblings.
+		for v, p := range sc.partner {
+			if p >= 0 && labels[p] != labels[v]^1 {
+				t.Fatal("partner out of sync after swaps")
 			}
 		}
 	}
 }
 
+// identityLevel is the level-graph view of g itself: every vertex is
+// its own single member.
+func identityLevel(g *graph.Graph) *levelGraph {
+	lg := &levelGraph{}
+	lg.reset(g)
+	lg.gather(g.N())
+	return lg
+}
+
 func TestContract(t *testing.T) {
-	// Four vertices with labels 00,01,10,11 contract into two vertices
-	// (0 and 1) with aggregated edges.
+	// Four vertices with labels 00,01,10,11 group into two vertices
+	// (0 and 1); descending to that level contracts the graph, because
+	// it has halved, and aggregates the edges.
 	g := graph.NewBuilder(4).
 		AddEdge(0, 1, 5). // 00-01: intra pair 0
 		AddEdge(0, 2, 3). // 00-10: inter
 		AddEdge(1, 3, 2). // 01-11: inter
 		AddEdge(2, 3, 7). // 10-11: intra pair 1
 		Build()
-	lv := &hlevel{g: g, labels: []bitvec.Label{0b00, 0b01, 0b10, 0b11}}
+	lv := &hlevel{labels: []bitvec.Label{0b00, 0b01, 0b10, 0b11}}
 	up := &hlevel{}
-	NewScratch().contract(lv, up)
-	if up.g.N() != 2 {
-		t.Fatalf("coarse N = %d, want 2", up.g.N())
-	}
-	if up.g.EdgeWeight(0, 1) != 5 { // 3 + 2
-		t.Errorf("coarse edge weight = %d, want 5", up.g.EdgeWeight(0, 1))
-	}
-	if up.labels[0] != 0 || up.labels[1] != 1 {
+	sc := NewScratch()
+	sc.group(lv, up)
+	if len(up.labels) != 2 || up.labels[0] != 0 || up.labels[1] != 1 {
 		t.Errorf("coarse labels = %v, want [0 1]", up.labels)
 	}
 	if lv.parent[0] != lv.parent[1] || lv.parent[2] != lv.parent[3] || lv.parent[0] == lv.parent[2] {
 		t.Errorf("parent = %v: pairs must merge", lv.parent)
+	}
+	if want := []int32{1, 0, 3, 2}; !reflect.DeepEqual(sc.partner, want) {
+		t.Errorf("partner = %v, want %v", sc.partner, want)
+	}
+	sc.lg.reset(g)
+	sc.lg.descend(lv.parent, len(up.labels), &sc.contractor)
+	if sc.lg.mg == g {
+		t.Fatal("a level with half the vertices must be contracted")
+	}
+	if sc.lg.mg.N() != 2 {
+		t.Fatalf("coarse N = %d, want 2", sc.lg.mg.N())
+	}
+	if sc.lg.mg.EdgeWeight(0, 1) != 5 { // 3 + 2
+		t.Errorf("coarse edge weight = %d, want 5", sc.lg.mg.EdgeWeight(0, 1))
+	}
+}
+
+// TestGroupWithoutSibling: a vertex whose sibling label is absent gets
+// partner −1 and a coarse vertex of its own, and a level that keeps
+// more than half of the vertices is read through the finer graph.
+func TestGroupWithoutSibling(t *testing.T) {
+	g := graph.NewBuilder(3).AddEdge(0, 1, 4).AddEdge(1, 2, 6).Build()
+	lv := &hlevel{labels: []bitvec.Label{0b10, 0b00, 0b11}}
+	up := &hlevel{}
+	sc := NewScratch()
+	sc.group(lv, up)
+	if want := []bitvec.Label{0b1, 0b0}; !reflect.DeepEqual(up.labels, want) {
+		t.Errorf("coarse labels = %v, want %v (first-occurrence order)", up.labels, want)
+	}
+	if want := []int32{0, 1, 0}; !reflect.DeepEqual(lv.parent, want) {
+		t.Errorf("parent = %v, want %v", lv.parent, want)
+	}
+	if want := []int32{2, -1, 0}; !reflect.DeepEqual(sc.partner, want) {
+		t.Errorf("partner = %v, want %v", sc.partner, want)
+	}
+	sc.lg.reset(g)
+	sc.lg.descend(lv.parent, len(up.labels), &sc.contractor)
+	if sc.lg.mg != g {
+		t.Error("a level with 2 of 3 vertices must not be contracted")
+	}
+	sc.lg.gather(len(up.labels))
+	if got := sc.lg.members[sc.lg.start[0]:sc.lg.start[1]]; !reflect.DeepEqual(got, []int32{0, 2}) {
+		t.Errorf("members of coarse vertex 0 = %v, want [0 2]", got)
 	}
 }
 

@@ -7,13 +7,14 @@ import (
 
 // hlevel is one level of a TIMER hierarchy. Level index k (1-based) has
 // labels of width dimGa−(k−1): the k−1 least significant permuted digits
-// have been cut off by contraction. Labels are unique per level.
+// have been cut off by contraction. Labels are unique per level. A level
+// holds no graph of its own: its coarse graph is read through the
+// Scratch's levelGraph, which materializes one only when a level has
+// halved (see levelGraph.descend).
 //
-// All slices and the coarse-graph storage gstore are owned by the
-// enclosing Scratch and reused across hierarchies.
+// All slices are owned by the enclosing Scratch and reused across
+// hierarchies.
 type hlevel struct {
-	g      *graph.Graph
-	gstore graph.Graph // backing storage of g on contracted levels
 	labels []bitvec.Label
 	// parent maps this level's vertices to the next coarser level's
 	// vertices (unset on the topmost level).
@@ -24,38 +25,148 @@ type hlevel struct {
 	gain  int64
 }
 
+// levelGraph presents the coarse graph of the current hierarchy level
+// without building it. mg is a materialized graph — the application
+// graph or an earlier level's contraction — and of maps mg's vertices to
+// the level's vertices. A level vertex stands for its members, the mg
+// vertices it contracts, listed in members[start[c]:start[c+1]]. The
+// coarse edge weight between level vertices c ≠ d is the summed weight
+// of the mg edges between their members, and the mg edges inside one
+// member set are exactly the ones contraction drops.
+//
+// Contracted graphs live in two ping-pong CSR buffers, so a Scratch
+// retains at most two graphs whatever dimGa is.
+type levelGraph struct {
+	mg      *graph.Graph
+	of      []int32
+	start   []int32
+	members []int32
+	bufs    [2]graph.Graph
+}
+
+// reset makes g the materialized graph of the current level: the
+// application graph at level 0, or a level's fresh contraction.
+func (lg *levelGraph) reset(g *graph.Graph) {
+	lg.mg = g
+	lg.of = graph.Resize(lg.of, g.N())
+	for x := range lg.of {
+		lg.of[x] = int32(x)
+	}
+}
+
+// descend moves the view one level up: parent maps the previous level's
+// vertices to the n vertices of the new one. The coarse graph is built —
+// by contracting mg with the composed map into the spare buffer — only
+// once the new level has at most half of mg's vertices. On the paper's
+// deep hierarchies most levels merge only a few vertices, and building
+// each of them would copy nearly the whole graph per level.
+func (lg *levelGraph) descend(parent []int32, n int, c *graph.Contractor) {
+	for x, v := range lg.of {
+		lg.of[x] = parent[v]
+	}
+	if 2*n > lg.mg.N() {
+		return
+	}
+	dst := &lg.bufs[0]
+	if lg.mg == dst {
+		dst = &lg.bufs[1]
+	}
+	c.ContractInto(dst, lg.mg, lg.of, n)
+	lg.reset(dst)
+}
+
+// gather groups mg's vertices by their level vertex (a counting sort
+// over of) for a level of n vertices.
+func (lg *levelGraph) gather(n int) {
+	lg.start = graph.Resize(lg.start, n+1)
+	clear(lg.start)
+	for _, c := range lg.of {
+		lg.start[c+1]++
+	}
+	for c := 0; c < n; c++ {
+		lg.start[c+1] += lg.start[c]
+	}
+	lg.members = graph.Resize(lg.members, len(lg.of))
+	for x, c := range lg.of {
+		lg.members[lg.start[c]] = int32(x)
+		lg.start[c]++
+	}
+	// Each start[c] now holds the original start[c+1]; shift back.
+	copy(lg.start[1:], lg.start[:n])
+	lg.start[0] = 0
+}
+
+// pull sums ω(e)·(1−2b_w) over the coarse edges {c, w} of level vertex
+// c, where b_w is w's last digit, skipping the edges into u and v (c is
+// one of them). The edges of c's members that lead back into c itself
+// are the ones contraction drops.
+func (lg *levelGraph) pull(labels []bitvec.Label, c, u, v int) int64 {
+	var acc int64
+	for _, x := range lg.members[lg.start[c]:lg.start[c+1]] {
+		nbr, ew := lg.mg.Neighbors(int(x))
+		for i, y := range nbr {
+			w := int(lg.of[y])
+			if w == u || w == v {
+				continue
+			}
+			acc += ew[i] * (1 - 2*int64(labels[w]&1))
+		}
+	}
+	return acc
+}
+
+// group computes the contraction of Algorithm 1 for level lv: vertices
+// whose labels agree on all but the last digit merge, and every label
+// loses its last digit. It runs before the level's swap pass, which is
+// exact because a swap only exchanges labels between siblings, and
+// siblings share their prefix. It fills lv.parent (coarse ids in
+// first-occurrence order), next.labels, and sc.partner: each vertex's
+// sibling, or −1 if it has none.
+func (sc *Scratch) group(lv, next *hlevel) {
+	n := len(lv.labels)
+	sc.byLabel.Reset(n)
+	lv.parent = graph.Resize(lv.parent, n)
+	sc.partner = graph.Resize(sc.partner, n)
+	next.labels = next.labels[:0]
+	for v, l := range lv.labels {
+		pref := l >> 1
+		u, existed := sc.byLabel.PutIfAbsent(pref, int32(v))
+		if existed {
+			lv.parent[v] = lv.parent[u]
+			sc.partner[u], sc.partner[v] = int32(v), u
+			continue
+		}
+		lv.parent[v] = int32(len(next.labels))
+		next.labels = append(next.labels, pref)
+		sc.partner[v] = -1
+	}
+	next.swaps, next.gain = 0, 0
+}
+
 // swapPass implements lines 10-12 of Algorithm 1 on one level: for every
 // sibling pair u, v (labels agree on all but the least significant
 // digit), swap their labels iff that decreases Coco+ on this level's
-// graph. sign is the Coco+ sign of the digit being decided at this level
-// (+1 if the underlying original digit belongs to lp, −1 for le).
-//
-// Because siblings agree on every other digit, the gain of a swap
-// depends only on the last digits of the pair's neighbors: moving u from
-// digit 0 to 1 changes edge {u,w}'s contribution by sign·ω(u,w)·(1−2b_w)
-// where b_w is w's last digit, and symmetrically for v. byLabel is the
-// label→vertex index of this level (updated in place on swaps).
+// graph, read through lg. sign is the Coco+ sign of the digit being
+// decided at this level (+1 if the underlying original digit belongs to
+// lp, −1 for le, 0 for an ablated digit, where no swap can gain).
+// partner is the level's sibling array from group; a swap leaves it
+// valid, since the pair stays the pair.
 // It returns the number of swaps applied and their summed Coco+ delta,
 // so callers maintain the level objective incrementally instead of
 // re-walking all edges.
-func swapPass(g *graph.Graph, labels []bitvec.Label, sign int, byLabel *bitvec.LabelIndex) (int, int64) {
+func swapPass(lg *levelGraph, labels []bitvec.Label, partner []int32, sign int) (int, int64) {
+	if sign == 0 {
+		return 0, 0
+	}
 	swaps := 0
 	var gain int64
-	n := g.N()
-	for u := 0; u < n; u++ {
-		lu := labels[u]
-		if lu&1 != 0 {
-			continue // visit each pair from its even member
-		}
-		v32, ok := byLabel.Get(lu ^ 1)
-		if !ok {
-			continue // no sibling
+	for u, v32 := range partner {
+		if v32 < 0 || labels[u]&1 != 0 {
+			continue // no sibling, or visit the pair from its even member
 		}
 		v := int(v32)
-		if delta := siblingSwapDelta(g, labels, u, v, sign); delta < 0 {
+		if delta := siblingSwapDelta(lg, labels, u, v, sign); delta < 0 {
 			labels[u], labels[v] = labels[v], labels[u]
-			byLabel.Put(labels[u], int32(u))
-			byLabel.Put(labels[v], int32(v))
 			swaps++
 			gain += delta
 		}
@@ -70,46 +181,11 @@ func swapPass(g *graph.Graph, labels []bitvec.Label, sign int, byLabel *bitvec.L
 //	               + Σ_{w∈N(v)\{u}} ω(v,w)(2b_w−1) ]
 //
 // where b_w is w's last digit. Only the last digit can contribute since
-// siblings agree on every other digit.
-func siblingSwapDelta(g *graph.Graph, labels []bitvec.Label, u, v, sign int) int64 {
-	var acc int64
-	nbr, ew := g.Neighbors(u)
-	for i, w := range nbr {
-		if int(w) == v {
-			continue
-		}
-		acc += ew[i] * (1 - 2*int64(labels[w]&1))
-	}
-	nbr, ew = g.Neighbors(v)
-	for i, w := range nbr {
-		if int(w) == u {
-			continue
-		}
-		acc += ew[i] * (2*int64(labels[w]&1) - 1)
-	}
-	return int64(sign) * acc
-}
-
-// contract implements the contract(·,·,·) of Algorithm 1: vertices whose
-// labels agree on all but the last digit merge; every label loses its
-// last digit; the parent vector records the hierarchy. The coarse graph
-// and labels are built into next's reusable storage.
-func (sc *Scratch) contract(lv, next *hlevel) {
-	n := lv.g.N()
-	sc.byLabel.Reset(n)
-	lv.parent = graph.Resize(lv.parent, n)
-	next.labels = next.labels[:0]
-	for v := 0; v < n; v++ {
-		pref := lv.labels[v] >> 1
-		id, existed := sc.byLabel.PutIfAbsent(pref, int32(len(next.labels)))
-		if !existed {
-			next.labels = append(next.labels, pref)
-		}
-		lv.parent[v] = id
-	}
-	sc.contractor.ContractInto(&next.gstore, lv.g, lv.parent, len(next.labels))
-	next.g = &next.gstore
-	next.swaps, next.gain = 0, 0
+// siblings agree on every other digit. The sums run over the member
+// edges of u and v in lg's materialized graph; being integer sums they
+// equal the sums over the coarse graph's aggregated edges exactly.
+func siblingSwapDelta(lg *levelGraph, labels []bitvec.Label, u, v, sign int) int64 {
+	return int64(sign) * (lg.pull(labels, u, u, v) - lg.pull(labels, v, u, v))
 }
 
 // suffixTrie is a counting trie over the label set L, keyed by least
@@ -184,30 +260,31 @@ func (sc *Scratch) buildHierarchy(ga *graph.Graph, dimGa int, signs []int8, swap
 		swapRounds = 1
 	}
 	lv0 := sc.level(0)
-	lv0.g = ga
 	lv0.labels = graph.Resize(lv0.labels, len(sc.perm))
 	copy(lv0.labels, sc.perm)
 	lv0.swaps, lv0.gain = 0, 0
 	sc.nlev = 1
+	sc.lg.reset(ga)
 	for k := 1; k <= dimGa-2; k++ {
-		cur := sc.level(sc.nlev - 1)
-		if cur.g.N() <= 1 {
+		next := sc.level(sc.nlev)
+		cur := &sc.levels[sc.nlev-1]
+		n := len(cur.labels)
+		if n <= 1 {
 			break
 		}
-		sc.byLabel.Reset(cur.g.N())
-		for v, l := range cur.labels {
-			sc.byLabel.Put(l, int32(v))
+		if k > 1 {
+			sc.lg.descend(sc.levels[sc.nlev-2].parent, n, &sc.contractor)
 		}
+		sc.group(cur, next)
+		sc.lg.gather(n)
 		for round := 0; round < swapRounds; round++ {
-			s, d := swapPass(cur.g, cur.labels, int(signs[k-1]), &sc.byLabel)
+			s, d := swapPass(&sc.lg, cur.labels, sc.partner, int(signs[k-1]))
 			cur.swaps += s
 			cur.gain += d
 			if s == 0 {
 				break
 			}
 		}
-		next := sc.level(sc.nlev)
-		sc.contract(sc.level(sc.nlev-1), next)
 		sc.nlev++
 	}
 }
@@ -222,7 +299,7 @@ func (sc *Scratch) buildHierarchy(ga *graph.Graph, dimGa int, signs []int8, swap
 // path is walk scratch with capacity ≥ dimGa.
 func assemble(levels []hlevel, dimGa int, trie *suffixTrie, out []bitvec.Label, path []int32) {
 	fine := &levels[0]
-	n := fine.g.N()
+	n := len(fine.labels)
 	K := len(levels)
 	for v := 0; v < n; v++ {
 		path = path[:0]

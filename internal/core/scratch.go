@@ -8,10 +8,11 @@ import (
 )
 
 // Scratch owns every reusable buffer of the TIMER hot path: the
-// permuted-label and candidate buffers, the hierarchy levels (label,
-// parent and coarse-graph storage per level), the suffix-trie backing
-// arrays, the sign table, the open-addressed label indexes and the
-// compiled permutation shift tables. One hierarchy trial — the unit the
+// permuted-label and candidate buffers, the hierarchy levels (label and
+// parent storage per level), the level-graph view with its two
+// ping-pong coarse-graph buffers, the suffix-trie backing arrays, the
+// sign table, the open-addressed label indexes and the compiled
+// permutation shift tables. One hierarchy trial — the unit the
 // main loop runs NumHierarchies times per job — performs zero heap
 // allocations once its Scratch is warm; everything is reset in place
 // between trials.
@@ -24,8 +25,10 @@ type Scratch struct {
 	levels []hlevel // hierarchy storage, finest first; levels[:nlev] in use
 	nlev   int
 
+	lg         levelGraph // the current level's coarse graph, see levelGraph
 	contractor graph.Contractor
-	byLabel    bitvec.LabelIndex // swap sibling index / contraction prefix index
+	byLabel    bitvec.LabelIndex // prefix index of group
+	partner    []int32           // sibling of each vertex of the current level, or −1
 	repairIx   bitvec.LabelIndex // duplicate-owner index of repairDuplicates
 	trie       suffixTrie
 

@@ -157,15 +157,23 @@ func objectiveMasks(lab *Labeling, opt Options) (plus, minus uint64) {
 	return plus, minus
 }
 
-// pickPermutation returns the h-th hierarchy permutation.
-func pickPermutation(h, dimGa int, opt Options, rng *rand.Rand) bitvec.Permutation {
-	if opt.FixedPermutations {
-		if h%2 == 0 {
-			return bitvec.Identity(dimGa)
-		}
-		return bitvec.Reverse(dimGa)
+// pickPermutation writes the h-th hierarchy permutation into dst's
+// storage (grown to dimGa digits if needed) and returns it. Random
+// permutations take one draw from rng each, so callers draw them in
+// h-order.
+func pickPermutation(dst bitvec.Permutation, h, dimGa int, opt Options, rng *rand.Rand) bitvec.Permutation {
+	p := graph.Resize(dst, dimGa)
+	if !opt.FixedPermutations {
+		return bitvec.RandomInto(rng, p)
 	}
-	return bitvec.Random(rng, dimGa)
+	for i := range p {
+		if h%2 == 0 {
+			p[i] = uint8(i) // the identity
+		} else {
+			p[i] = uint8(dimGa - 1 - i) // the digit-reversing permutation
+		}
+	}
+	return p
 }
 
 // trial is the outcome of building and assembling one hierarchy.
@@ -273,8 +281,9 @@ func runHierarchies(lab *Labeling, opt Options, rng *rand.Rand, res *Result, sc 
 	bestCoco := curCoco
 	bestCocoLabels := append([]bitvec.Label(nil), lab.Labels...)
 
+	var pi bitvec.Permutation
 	for h := 0; h < opt.NumHierarchies; h++ {
-		pi := pickPermutation(h, dimGa, opt, rng)
+		pi = pickPermutation(pi, h, dimGa, opt, rng)
 		t := tryHierarchy(ga, lab.Labels, dimGa, pi, plusMask, minusMask, opt.SwapRounds,
 			curCoco, bestCocoPlus, sc)
 		// Lines 17-19: keep only if Coco+ did not get worse.
@@ -329,7 +338,7 @@ func runHierarchiesParallel(lab *Labeling, opt Options, rng *rand.Rand, res *Res
 		// the schedule is deterministic regardless of goroutine timing.
 		pis := make([]bitvec.Permutation, batch)
 		for i := range pis {
-			pis[i] = pickPermutation(h+i, dimGa, opt, rng)
+			pis[i] = pickPermutation(nil, h+i, dimGa, opt, rng)
 		}
 		trials := make([]trial, batch)
 		var wg sync.WaitGroup

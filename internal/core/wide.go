@@ -33,12 +33,15 @@ import (
 // times; with a typical handful of mutations concentrated in the early
 // trials, that is near-linear in the granted width.
 //
-// The hierarchy permutations are all drawn up front: the shared rng is
-// consumed nowhere else in the loop, one draw per trial in h-order, so
-// pre-drawing consumes the identical stream. Unlike the sequential
-// path, this path allocates (permutations, trial table, round
-// bookkeeping) — wide mode targets big underloaded jobs where that is
-// noise.
+// The hierarchy permutations are drawn on demand, in h-order: the
+// shared rng is consumed nowhere else in the loop, one draw per trial,
+// so this consumes the identical stream. A trial speculated past a
+// mutation keeps its drawn permutation for the next round. Memory is
+// bounded by the widest granted round, not by NumHierarchies: each
+// slot (the caller's and one per granted helper) owns its scratch, its
+// permutation buffer, its trial result and its task closure, and is
+// reused by every later round, so a round allocates nothing once its
+// slots exist.
 func runHierarchiesWide(lab *Labeling, opt Options, rng *rand.Rand, res *Result, sc *Scratch) {
 	ga := lab.Ga
 	dimGa := lab.DimGa
@@ -48,22 +51,26 @@ func runHierarchiesWide(lab *Labeling, opt Options, rng *rand.Rand, res *Result,
 	bestCoco := curCoco
 	bestCocoLabels := append([]bitvec.Label(nil), lab.Labels...)
 
-	pis := make([]bitvec.Permutation, opt.NumHierarchies)
-	for h := range pis {
-		pis[h] = pickPermutation(h, dimGa, opt, rng)
-	}
-
-	// Helper scratches, grown to the widest round and returned at the
-	// end; slot 0 is the caller's scratch, used by the caller's own
-	// trial of each round.
-	scs := []*Scratch{sc}
+	// slots[i] evaluates trial h+i of the current round; slot 0 is the
+	// caller's. A helper slot's run task is built once and reads the
+	// round's inputs from the slot, so spawning it allocates nothing.
+	var wg sync.WaitGroup
+	slots := []*wideSlot{{sc: sc}}
 	defer func() {
-		for _, s := range scs[1:] {
-			putScratch(s)
+		for _, w := range slots[1:] {
+			putScratch(w.sc)
 		}
 	}()
+	// ready counts the leading slots whose pi already holds the
+	// permutation of trial h+i.
+	ready := 0
+	draw := func(i, h int) {
+		if i >= ready {
+			slots[i].pi = pickPermutation(slots[i].pi, h+i, dimGa, opt, rng)
+			ready = i + 1
+		}
+	}
 
-	trials := make([]trial, opt.NumHierarchies)
 	h := 0
 	for h < opt.NumHierarchies {
 		// Launch as many speculative helpers as Spawn grants, then run
@@ -71,36 +78,37 @@ func runHierarchiesWide(lab *Labeling, opt Options, rng *rand.Rand, res *Result,
 		// round ends at the next mutation wherever it falls, and the
 		// grant gate (the engine's pool occupancy) is what bounds wasted
 		// helper work under load.
+		draw(0, h)
 		want := opt.NumHierarchies - h
-		var wg sync.WaitGroup
 		width := 1
 		for width < want {
-			i := width
-			for len(scs) <= i {
-				scs = append(scs, getScratch())
+			if len(slots) <= width {
+				w := &wideSlot{sc: getScratch()}
+				w.run = func() {
+					defer wg.Done()
+					w.t = tryHierarchy(ga, lab.Labels, dimGa, w.pi, plusMask, minusMask,
+						opt.SwapRounds, w.coco, w.best, w.sc)
+				}
+				slots = append(slots, w)
 			}
-			hi, slot, out := h+i, scs[i], &trials[i]
-			myCoco, myBest := curCoco, bestCocoPlus
+			draw(width, h)
+			w := slots[width]
+			w.coco, w.best = curCoco, bestCocoPlus
 			wg.Add(1)
-			granted := opt.Spawn(func() {
-				defer wg.Done()
-				*out = tryHierarchy(ga, lab.Labels, dimGa, pis[hi], plusMask, minusMask,
-					opt.SwapRounds, myCoco, myBest, slot)
-			})
-			if !granted {
+			if !opt.Spawn(w.run) {
 				wg.Done() // the task never ran; undo its Add
 				break
 			}
 			width++
 		}
-		trials[0] = tryHierarchy(ga, lab.Labels, dimGa, pis[h], plusMask, minusMask,
+		slots[0].t = tryHierarchy(ga, lab.Labels, dimGa, slots[0].pi, plusMask, minusMask,
 			opt.SwapRounds, curCoco, bestCocoPlus, sc)
 		wg.Wait()
 
 		// Replay the sequential acceptance over the round in h-order.
 		consumed := width
 		for j := 0; j < width; j++ {
-			t := &trials[j]
+			t := &slots[j].t
 			if t.cocoPlus > bestCocoPlus {
 				continue // rejected: state untouched, speculation holds
 			}
@@ -123,7 +131,24 @@ func runHierarchiesWide(lab *Labeling, opt Options, rng *rand.Rand, res *Result,
 				break
 			}
 		}
+		// Shift the drawn but unconsumed permutations to the front; the
+		// consumed buffers become spares.
+		for i := consumed; i < ready; i++ {
+			slots[i-consumed].pi, slots[i].pi = slots[i].pi, slots[i-consumed].pi
+		}
+		ready -= consumed
 		h += consumed
 	}
 	copy(lab.Labels, bestCocoLabels)
+}
+
+// wideSlot is one trial position of a wide round: the scratch it runs
+// on, its permutation, the round's base objectives, its result, and the
+// task handed to Options.Spawn.
+type wideSlot struct {
+	sc         *Scratch
+	pi         bitvec.Permutation
+	coco, best int64
+	t          trial
+	run        func()
 }

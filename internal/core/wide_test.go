@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,6 +83,36 @@ func TestWideEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWideAllocationBoundedByWidth: wide mode allocates per granted
+// slot, not per hierarchy. With a Spawn that always declines, no helper
+// runs, and the bytes one Enhance call allocates do not grow with
+// NumHierarchies.
+func TestWideAllocationBoundedByWidth(t *testing.T) {
+	topo := mustTopo(t, "grid:4x4")
+	ga := randomGraph(64, 128, 3)
+	assign := balancedAssign(64, topo.P(), 5)
+	sc := NewScratch()
+	allocated := func(nh int) uint64 {
+		opt := Options{NumHierarchies: nh, Seed: 7, Scratch: sc,
+			Spawn: func(func()) bool { return false }}
+		if _, err := Enhance(ga, topo, assign, opt); err != nil { // warm sc
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Enhance(ga, topo, assign, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := allocated(4), allocated(4096)
+	if large > small+16<<10 {
+		t.Errorf("Enhance allocates %d B at NH = 4096 vs %d B at NH = 4: allocation grows with NH",
+			large, small)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // Contractor contracts graphs into reusable CSR storage. It exists for
-// hot loops that repeatedly coarsen and discard graphs — TIMER builds
-// NumHierarchies × (dimGa−2) coarse graphs per enhancement — where
+// hot loops that repeatedly coarsen and discard graphs — TIMER's
+// hierarchies, the multilevel partitioner — where
 // Quotient's map-and-Builder construction dominates the allocation
 // profile. A warm Contractor contracts without allocating: all scratch
 // arrays and the destination graph's CSR slices are grown once and
