@@ -12,6 +12,10 @@
 //	maprouter -addr :8080 -replicas ... -probe-interval 250ms \
 //	          -breaker-threshold 3 -breaker-cooldown 2s
 //
+// The routes are mapd's job API, listed in the jobAPI doc comment in
+// internal/mapdsrv/api.go; mapd's job list, graphs, topologies, bench
+// matrices and pprof are not served.
+//
 // Example session (same protocol as mapd):
 //
 //	curl -s localhost:8080/v1/jobs -d '{

@@ -83,6 +83,42 @@ func batchJobs(b BatchSpec, reps int) int {
 	return math.MaxInt
 }
 
+// shape checks the batch against a job cap (named in the error) and
+// resolves its reps and seed defaults; total is graphs × topologies ×
+// reps.
+func (b BatchSpec) shape(capJobs int, capName string) (reps, total int, seed int64, err error) {
+	if len(b.Graphs) == 0 || len(b.Topologies) == 0 {
+		return 0, 0, 0, fmt.Errorf("%w: batch needs at least one graph and one topology", ErrInvalidSpec)
+	}
+	reps = max(b.Reps, 1)
+	if total = batchJobs(b, reps); total > capJobs {
+		return 0, 0, 0, fmt.Errorf("%w: %d graphs × %d topologies × reps %d expands to %d jobs, exceeding the %s of %d",
+			ErrInvalidSpec, len(b.Graphs), len(b.Topologies), reps, total, capName, capJobs)
+	}
+	seed = b.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return reps, total, seed, nil
+}
+
+// job is the spec of one graph × topology × rep cell of the batch.
+func (b BatchSpec) job(gs GraphSpec, topo string, seed int64, rep int) JobSpec {
+	spec := JobSpec{
+		Graph:          gs,
+		Topology:       topo,
+		Case:           b.Case,
+		Epsilon:        b.Epsilon,
+		Seed:           BatchSeed(seed, rep, b.Case),
+		NumHierarchies: b.NumHierarchies,
+		TimerWorkers:   b.TimerWorkers,
+	}
+	if b.SharedPartition {
+		spec.PartitionSeed = SharedPartitionSeed(seed, rep)
+	}
+	return spec
+}
+
 // ExpandBatch expands a batch into its per-job specs without touching
 // an engine: the same fan-out order (graphs outermost, then topologies,
 // then reps) and the same seed algebra (BatchSeed, SharedPartitionSeed,
@@ -92,23 +128,12 @@ func batchJobs(b BatchSpec, reps int) int {
 // own SpecHash. SkipTooSmall is refused: deciding it needs the realized
 // vertex count, which only a materializing submission path has.
 func ExpandBatch(b BatchSpec) ([]JobSpec, error) {
-	if len(b.Graphs) == 0 || len(b.Topologies) == 0 {
-		return nil, fmt.Errorf("engine: batch needs at least one graph and one topology")
-	}
 	if b.SkipTooSmall {
-		return nil, fmt.Errorf("engine: skip_too_small needs materialized graph sizes and cannot be expanded purely")
+		return nil, fmt.Errorf("%w: skip_too_small needs materialized graph sizes and cannot be expanded purely", ErrInvalidSpec)
 	}
-	reps := b.Reps
-	if reps <= 0 {
-		reps = 1
-	}
-	total := batchJobs(b, reps)
-	if total > MaxBatchJobs {
-		return nil, fmt.Errorf("%w: %d graphs × %d topologies × reps %d exceeds the cap of %d jobs", ErrInvalidSpec, len(b.Graphs), len(b.Topologies), reps, MaxBatchJobs)
-	}
-	seed := b.Seed
-	if seed == 0 {
-		seed = 1
+	reps, total, seed, err := b.shape(MaxBatchJobs, "batch cap")
+	if err != nil {
+		return nil, err
 	}
 	specs := make([]JobSpec, 0, total)
 	for _, gs := range b.Graphs {
@@ -119,51 +144,36 @@ func ExpandBatch(b BatchSpec) ([]JobSpec, error) {
 		// fail the expansion, not fan out into identically-failing jobs.
 		if gs.G == nil && gs.Ref == "" && len(gs.Edges) == 0 && gs.Network != "" {
 			if _, err := netgen.ByName(gs.Network); err != nil {
-				return nil, err
+				return nil, invalidBatch(err)
 			}
 		}
 		for _, topoSpec := range b.Topologies {
 			for rep := 0; rep < reps; rep++ {
-				spec := JobSpec{
-					Graph:          gs,
-					Topology:       topoSpec,
-					Case:           b.Case,
-					Epsilon:        b.Epsilon,
-					Seed:           BatchSeed(seed, rep, b.Case),
-					NumHierarchies: b.NumHierarchies,
-					TimerWorkers:   b.TimerWorkers,
-				}
-				if b.SharedPartition {
-					spec.PartitionSeed = SharedPartitionSeed(seed, rep)
-				}
-				specs = append(specs, spec)
+				specs = append(specs, b.job(gs, topoSpec, seed, rep))
 			}
 		}
 	}
 	return specs, nil
 }
 
+// invalidBatch marks an error met while expanding a batch (an unknown
+// network or graph ref, a bad inline graph or topology spec) as the
+// client's: ErrInvalidSpec, not a server fault worth retrying.
+func invalidBatch(err error) error { return fmt.Errorf("%w: %w", ErrInvalidSpec, err) }
+
 // SubmitBatch expands the batch into jobs and enqueues them all,
 // returning the job IDs in fan-out order (graphs outermost, then
 // topologies, then reps). Jobs skipped by SkipTooSmall contribute an
 // empty ID at their position, so the slice shape stays rectangular.
+// Expansion errors wrap ErrInvalidSpec; a Submit error comes back with
+// the IDs enqueued before it.
 func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
-	if len(b.Graphs) == 0 || len(b.Topologies) == 0 {
-		return nil, fmt.Errorf("engine: batch needs at least one graph and one topology")
-	}
-	reps := b.Reps
-	if reps <= 0 {
-		reps = 1
-	}
 	// A batch larger than the retention window could have its earliest
 	// finished jobs evicted before RunBatch collects them; reject it
 	// outright instead of silently losing results.
-	if total := batchJobs(b, reps); total > e.opt.RetainJobs {
-		return nil, fmt.Errorf("engine: batch expands to %d jobs, exceeding the retention window of %d", total, e.opt.RetainJobs)
-	}
-	seed := b.Seed
-	if seed == 0 {
-		seed = 1
+	reps, _, seed, err := b.shape(e.opt.RetainJobs, "retention window")
+	if err != nil {
+		return nil, err
 	}
 	var ids []string
 	for _, gs := range b.Graphs {
@@ -187,7 +197,7 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 		if gs.Ref != "" && gs.G == nil {
 			ga, err := e.GraphByRef(gs.Ref)
 			if err != nil {
-				return ids, err
+				return ids, invalidBatch(err)
 			}
 			gs.G = ga
 		}
@@ -202,7 +212,7 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 			// network name should fail the submission, not expand into a
 			// batch of identically-failing jobs.
 			if _, err := netgen.ByName(gs.Network); err != nil {
-				return ids, err
+				return ids, invalidBatch(err)
 			}
 		}
 		if !lazy && gs.G == nil {
@@ -214,7 +224,7 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 				ga, err = gs.materialize(seed)
 			}
 			if err != nil {
-				return ids, err
+				return ids, invalidBatch(err)
 			}
 			gs.G = ga
 		}
@@ -223,7 +233,7 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 			if b.SkipTooSmall {
 				topo, err := e.artifacts.Topology(topoSpec)
 				if err != nil {
-					return ids, err
+					return ids, invalidBatch(err)
 				}
 				skip = gs.G.N() <= topo.P()
 			}
@@ -232,19 +242,7 @@ func (e *Engine) SubmitBatch(b BatchSpec) ([]string, error) {
 					ids = append(ids, "")
 					continue
 				}
-				spec := JobSpec{
-					Graph:          gs,
-					Topology:       topoSpec,
-					Case:           b.Case,
-					Epsilon:        b.Epsilon,
-					Seed:           BatchSeed(seed, rep, b.Case),
-					NumHierarchies: b.NumHierarchies,
-					TimerWorkers:   b.TimerWorkers,
-				}
-				if b.SharedPartition {
-					spec.PartitionSeed = SharedPartitionSeed(seed, rep)
-				}
-				job, err := e.Submit(spec)
+				job, err := e.Submit(b.job(gs, topoSpec, seed, rep))
 				if err != nil {
 					return ids, err
 				}

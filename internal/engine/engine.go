@@ -25,9 +25,14 @@ var ErrQueueFull = errors.New("engine: queue full")
 var ErrClosed = errors.New("engine: closed")
 
 // ErrInvalidSpec is wrapped by Submit and Run around a spec that fails
-// admission; the message names the offending JSON field. It is a
-// client error, never worth retrying.
+// admission, and by SubmitBatch and ExpandBatch around a batch that
+// cannot be expanded; the message names the offending JSON field. It is
+// a client error, never worth retrying.
 var ErrInvalidSpec = errors.New("engine: invalid job spec")
+
+// ErrUnknownJob is wrapped by WaitCtx (and Wait) around an ID the
+// engine does not hold: never issued, or evicted past RetainJobs.
+var ErrUnknownJob = errors.New("engine: unknown job")
 
 // MaxNumHierarchies caps JobSpec.NumHierarchies at admission. TIMER
 // sizes per-hierarchy state by NH up front and a running job cannot be
@@ -427,7 +432,7 @@ func (e *Engine) WaitCtx(ctx context.Context, id string) (Job, error) {
 	rec, ok := e.jobs[id]
 	e.mu.Unlock()
 	if !ok {
-		return Job{}, fmt.Errorf("engine: unknown job %q", id)
+		return Job{}, fmt.Errorf("%w %q", ErrUnknownJob, id)
 	}
 	select {
 	case <-rec.done:

@@ -1,160 +1,75 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/mapclient"
+	"repro/internal/mapdsrv"
 )
 
-// Handler returns the router's HTTP surface — the same job protocol
-// mapd speaks, so mapclient (and curl) work unchanged against a fleet:
-//
-//	POST /v1/jobs          route one job by its spec hash
-//	POST /v1/batches       expand a batch and scatter its jobs
-//	GET  /v1/jobs/{id}     proxy a snapshot (add ?wait=1 to park until
-//	                       terminal; survives replica death by requeue)
-//	GET  /v1/stats         per-replica health, breaker state, failovers
-//	GET  /healthz          router liveness + usable-replica count
-//	GET  /readyz           200 while ≥1 replica is usable, else 503
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", rt.submitJob)
-	mux.HandleFunc("POST /v1/batches", rt.submitBatch)
-	mux.HandleFunc("GET /v1/jobs/{id}", rt.getJob)
-	mux.HandleFunc("GET /v1/stats", rt.statsHandler)
-	mux.HandleFunc("GET /healthz", rt.healthz)
-	mux.HandleFunc("GET /readyz", rt.readyz)
-	return mux
-}
+// Handler returns the router's HTTP surface: mapd's job API
+// (mapdsrv.JobAPI) served over the router. mapd's job list, graphs,
+// topologies, bench matrices and pprof stay on the replicas.
+func (rt *Router) Handler() http.Handler { return mapdsrv.JobAPI(rt) }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// writeUpstreamError translates a placement failure for the client:
-// upstream API errors keep their status (and Retry-After becomes ours),
-// transport-level failures and replica exhaustion become 503 +
-// Retry-After — the fleet equivalent of "draining, come back".
-func writeUpstreamError(w http.ResponseWriter, err error) {
-	var apiErr *mapclient.APIError
-	if errors.As(err, &apiErr) {
-		if apiErr.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(apiErr.RetryAfter/time.Second)))
-		}
-		writeError(w, apiErr.Status, err)
-		return
-	}
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, err)
-}
-
-// submitJob decodes the spec exactly as mapd does — unknown fields and
-// oversized bodies are 400s — so a typo'd field is refused here instead
-// of being dropped on the way to a replica. The raw bytes are kept for
-// routingKey's fallback.
-func (rt *Router) submitJob(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+// SubmitJob places one job on a replica by its spec hash and files it
+// under a router-scoped ID, which the returned snapshot carries. Every
+// spec decoded from JSON has a hash; one without (an in-memory graph or
+// topology) routes under the empty key, still deterministically.
+func (rt *Router) SubmitJob(ctx context.Context, spec engine.JobSpec) (engine.Job, error) {
+	key, _ := engine.SpecHash(spec)
+	rep, remote, err := rt.place(ctx, spec, key, nil)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return engine.Job{}, err
 	}
-	var spec engine.JobSpec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
-		return
-	}
-	key := routingKey(spec, body)
-	rep, remote, err := rt.place(r.Context(), spec, key, nil)
-	if err != nil {
-		writeUpstreamError(w, err)
-		return
-	}
-	rj := rt.register(spec, key, rep, remote)
-	remote.ID = rj.id
-	writeJSON(w, http.StatusAccepted, remote)
+	remote.ID = rt.register(spec, key, rep, remote).id
+	return remote, nil
 }
 
-func (rt *Router) submitBatch(w http.ResponseWriter, r *http.Request) {
-	var batch engine.BatchSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch spec: %w", err))
-		return
-	}
+// SubmitBatch expands the batch (engine.ExpandBatch) and scatters its
+// jobs, each routed by its own spec hash. Jobs placed before a failure
+// keep running; their IDs come back with the error.
+func (rt *Router) SubmitBatch(ctx context.Context, batch engine.BatchSpec) ([]string, error) {
 	specs, err := engine.ExpandBatch(batch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	ids := make([]string, 0, len(specs))
 	for _, spec := range specs {
-		specJSON, err := json.Marshal(spec)
+		job, err := rt.SubmitJob(ctx, spec)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return ids, err
 		}
-		key := routingKey(spec, specJSON)
-		rep, remote, err := rt.place(r.Context(), spec, key, nil)
-		if err != nil {
-			// Jobs placed before the failure keep running; hand their
-			// IDs back so the client can still track them, mirroring
-			// mapd's own partial-batch contract.
-			var apiErr *mapclient.APIError
-			status := http.StatusServiceUnavailable
-			if errors.As(err, &apiErr) {
-				status = apiErr.Status
-			}
-			writeJSON(w, status, map[string]any{"error": err.Error(), "job_ids": ids})
-			return
-		}
-		ids = append(ids, rt.register(spec, key, rep, remote).id)
+		ids = append(ids, job.ID)
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"job_ids": ids})
+	return ids, nil
 }
 
-func (rt *Router) getJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+// GetJob proxies a snapshot, or with wait parks until the job is
+// terminal; either survives replica death by requeue.
+func (rt *Router) GetJob(ctx context.Context, id string, wait bool) (engine.Job, error) {
 	rt.mu.Lock()
 	rj, ok := rt.jobs[id]
 	rt.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
-		return
+		return engine.Job{}, fmt.Errorf("%w %q", engine.ErrUnknownJob, id)
 	}
-	wait := r.URL.Query().Get("wait") == "1" || r.URL.Query().Get("wait") == "true"
-	job, err := rt.fetch(r, rj, wait)
+	job, err := rt.fetch(ctx, rj, wait)
 	if err != nil {
-		writeUpstreamError(w, err)
-		return
+		return engine.Job{}, err
 	}
 	job.ID = rj.id
-	writeJSON(w, http.StatusOK, job)
+	return job, nil
 }
 
 // fetch proxies one snapshot or wait call to the job's current
 // placement, requeueing the job onto another replica when the current
 // one is dead or has forgotten it. The wait variant loops: a requeue
 // mid-wait is invisible to the client beyond added latency.
-func (rt *Router) fetch(r *http.Request, rj *routedJob, wait bool) (engine.Job, error) {
-	ctx := r.Context()
+func (rt *Router) fetch(ctx context.Context, rj *routedJob, wait bool) (engine.Job, error) {
 	for {
 		rep, remoteID := rj.placement()
 		var job engine.Job
@@ -185,14 +100,15 @@ func (rt *Router) fetch(r *http.Request, rj *routedJob, wait bool) (engine.Job, 
 			}
 			// Every replica is briefly unusable (e.g. the fleet's sole
 			// replica is restarting). Parked waiters ride it out.
-			if sErr := sleepCtx(ctx, 300*time.Millisecond); sErr != nil {
+			select {
+			case <-time.After(300 * time.Millisecond):
+			case <-ctx.Done():
 				return engine.Job{}, rqErr
 			}
 		}
 		if !wait {
 			rep2, remote2 := rj.placement()
-			job, err := rep2.client.GetJob(ctx, remote2)
-			return job, err
+			return rep2.client.GetJob(ctx, remote2)
 		}
 	}
 }
@@ -207,57 +123,47 @@ func (rt *Router) usableCount() int {
 	return n
 }
 
-func (rt *Router) statsHandler(w http.ResponseWriter, r *http.Request) {
+// Stats aggregates per-replica health, breaker state and traffic with
+// the fleet's totals; ?deep=1 inlines each replica's own /v1/stats.
+func (rt *Router) Stats(r *http.Request) any {
 	reps := make([]map[string]any, 0, len(rt.replicas))
 	for _, rep := range rt.replicas {
 		row := rep.stats()
 		if r.URL.Query().Get("deep") == "1" {
-			if up := rep.decodeStats(r.Context()); up != nil {
+			ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
+			if up, err := rep.client.Stats(ctx); err == nil {
 				row["upstream"] = up
 			}
+			cancel()
 		}
 		reps = append(reps, row)
 	}
 	rt.mu.Lock()
 	routed := len(rt.jobs)
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"replicas":    reps,
 		"usable":      rt.usableCount(),
 		"failovers":   rt.failovers.Load(),
 		"requeues":    rt.requeues.Load(),
 		"routed_jobs": routed,
-	})
+	}
 }
 
-func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+// Health is router liveness plus the usable-replica count.
+func (rt *Router) Health() any {
+	return map[string]any{
 		"status":   "ok",
 		"replicas": len(rt.replicas),
 		"usable":   rt.usableCount(),
-	})
+	}
 }
 
-func (rt *Router) readyz(w http.ResponseWriter, r *http.Request) {
-	if rt.usableCount() == 0 {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, errNoReplica)
-		return
+// Ready succeeds while at least one replica is usable.
+func (rt *Router) Ready() (any, error) {
+	n := rt.usableCount()
+	if n == 0 {
+		return nil, errNoReplica
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ready",
-		"usable": rt.usableCount(),
-	})
-}
-
-// sleepCtx sleeps for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return map[string]any{"status": "ready", "usable": n}, nil
 }

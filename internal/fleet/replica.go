@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"sync/atomic"
@@ -135,25 +134,4 @@ func (r *Replica) healthLoop(ctx context.Context, interval, timeout time.Duratio
 			r.probe(ctx, timeout)
 		}
 	}
-}
-
-// decodeStats fetches the replica's own /v1/stats for aggregation;
-// errors degrade to nil rather than failing the router's stats page.
-func (r *Replica) decodeStats(ctx context.Context) map[string]any {
-	pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, r.Name+"/v1/stats", nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	var out map[string]any
-	if json.NewDecoder(resp.Body).Decode(&out) != nil {
-		return nil
-	}
-	return out
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/mapclient"
 )
 
@@ -139,17 +138,6 @@ func (rt *Router) HomeOf(key string) string {
 		return ""
 	}
 	return ranked[0].Name
-}
-
-// routingKey derives the rendezvous key for a spec: its canonical spec
-// hash when it has one (the common case — everything arriving as JSON
-// does), otherwise the fingerprint of the raw body, so routing stays
-// deterministic even for specs the engine cannot dedup.
-func routingKey(spec engine.JobSpec, body []byte) string {
-	if h, ok := engine.SpecHash(spec); ok {
-		return h
-	}
-	return graph.FingerprintBytes(body).String()
 }
 
 // place submits the spec to the best usable replica in rendezvous

@@ -95,8 +95,12 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // APIError is a non-2xx response from the server, carrying the decoded
 // error message and any Retry-After the server advertised.
 type APIError struct {
-	Status     int
-	Message    string
+	// Status is the HTTP status code.
+	Status int
+	// Message is the body's "error" field, or the status text when the
+	// body had none.
+	Message string
+	// RetryAfter is the server's Retry-After header; 0 when it sent none.
 	RetryAfter time.Duration
 }
 

@@ -1,6 +1,7 @@
 package mapdsrv
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"net"
@@ -24,7 +25,7 @@ type limiter struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	// quotaHits counts per-client 429s; the server's shedTotal counts
+	// quotaHits counts per-client 429s; the job API's shedTotal counts
 	// every shed request across causes.
 	quotaHits map[string]int64
 }
@@ -149,4 +150,16 @@ func retryAfterSeconds(d time.Duration) int {
 		secs = 1
 	}
 	return secs + rand.IntN(secs/2+2)
+}
+
+// quotaError refuses a submission over its client's quota; wait is the
+// time until a token refills, which the client is told to back off.
+type quotaError struct {
+	client string
+	wait   time.Duration
+}
+
+// Error names the client over its quota.
+func (e *quotaError) Error() string {
+	return fmt.Sprintf("client %q over submission quota", e.client)
 }

@@ -2,11 +2,13 @@
 // handler: cmd/mapd mounts it on its listener, and the fleet layer
 // (internal/fleet, mapbench's fleet probe, the chaos tests) uses
 // it to run real replica servers in-process or in killable child
-// processes instead of mocking the API.
+// processes instead of mocking the API. It also owns the job API's
+// HTTP contract (jobAPI: routes, decoding, envelopes, error statuses),
+// which maprouter serves over its fleet through JobAPI.
 package mapdsrv
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -14,9 +16,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bench"
@@ -24,13 +24,10 @@ import (
 	"repro/internal/ingest"
 )
 
-// server exposes an engine over HTTP:
+// server is mapd: the job API (jobAPI, whose doc comment lists its
+// routes) served over an engine, plus the mapd-only routes beside it:
 //
-//	POST /v1/jobs          submit a mapping job (engine.JobSpec JSON)
-//	POST /v1/batches       submit a batch (engine.BatchSpec JSON)
 //	GET  /v1/jobs          list all jobs
-//	GET  /v1/jobs/{id}     one job: status, stage timings, result
-//	                       (?wait=1 blocks until the job finishes)
 //	POST /v1/graphs        ingest a real-world graph: a JSON body
 //	                       {"path": ...} ingests server-side, any other
 //	                       body is the graph bytes themselves (SNAP /
@@ -40,36 +37,25 @@ import (
 //	GET  /v1/graphs/{ref}  one ingested graph's registration
 //	GET  /v1/topologies    cached topologies: build time + hits per entry
 //	GET  /v1/bench/matrices  canonical benchmark matrices (smoke, paper)
-//	GET  /v1/stats         runtime + pool statistics (goroutines, jobs served)
-//	GET  /healthz          liveness + pool stats (always 200 while the
-//	                       process serves; a "draining" field flips
-//	                       during shutdown)
-//	GET  /readyz           readiness: 200 while accepting work, 503 +
-//	                       Retry-After while draining, so routers and
-//	                       load balancers de-pool the replica before
-//	                       its listener goes away
 //	GET  /debug/pprof/*    CPU/heap/goroutine profiles (only with -pprof)
+//
+// Submissions pass quota admission (admission.go) before the job API
+// decodes them.
 type server struct {
 	eng *engine.Engine
-	// maxBody caps request bodies (job specs, batch specs and graph
-	// uploads alike); 0 selects maxBodyBytes.
-	maxBody int64
 	// limit is the per-client admission limiter; nil admits everything.
 	limit *limiter
-	// shedTotal counts every load-shedding response (quota, queue-full
-	// and draining alike) served by this handler. Per-server rather than
-	// process-wide so in-process fleet replicas count independently.
-	shedTotal atomic.Int64
+	// api serves the job API over this server; its maxBody caps graph
+	// uploads too, and its shed counter is per-server, so in-process
+	// fleet replicas count independently.
+	api jobAPI
 }
 
-// Config bundles New's knobs, all optional: Pprof mounts
-// net/http/pprof under /debug/pprof/ (opt-in — profiling endpoints on
-// a production port are an operational decision, not a default),
-// MaxBody caps request bodies in bytes (0 = the 64 MiB default), and
-// QuotaRate/QuotaBurst configure per-client submission quotas (0 =
-// unlimited; see admission.go).
+// Config bundles New's knobs, all optional.
 type Config struct {
-	// Pprof mounts net/http/pprof under /debug/pprof/ when true.
+	// Pprof mounts net/http/pprof under /debug/pprof/ when true (opt-in:
+	// profiling endpoints on a production port are an operational
+	// decision, not a default).
 	Pprof bool
 	// MaxBody caps request bodies in bytes (0 = the 64 MiB default).
 	MaxBody int64
@@ -85,22 +71,17 @@ func New(eng *engine.Engine, cfg Config) http.Handler {
 	if maxBody <= 0 {
 		maxBody = maxBodyBytes
 	}
-	withPprof := cfg.Pprof
-	s := &server{eng: eng, maxBody: maxBody, limit: newLimiter(cfg.QuotaRate, cfg.QuotaBurst)}
+	s := &server{eng: eng, limit: newLimiter(cfg.QuotaRate, cfg.QuotaBurst)}
+	s.api.b, s.api.maxBody, s.api.admit = s, maxBody, s.admit
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.submitJob)
-	mux.HandleFunc("POST /v1/batches", s.submitBatch)
+	s.api.mount(mux)
 	mux.HandleFunc("GET /v1/jobs", s.listJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.getJob)
 	mux.HandleFunc("POST /v1/graphs", s.ingestGraph)
 	mux.HandleFunc("GET /v1/graphs", s.listGraphs)
 	mux.HandleFunc("GET /v1/graphs/{ref...}", s.getGraph)
 	mux.HandleFunc("GET /v1/topologies", s.topologies)
 	mux.HandleFunc("GET /v1/bench/matrices", s.benchMatrices)
-	mux.HandleFunc("GET /v1/stats", s.stats)
-	mux.HandleFunc("GET /healthz", s.healthz)
-	mux.HandleFunc("GET /readyz", s.readyz)
-	if withPprof {
+	if cfg.Pprof {
 		// No method prefix: net/http/pprof's contract is method-agnostic
 		// (go tool pprof POSTs to /debug/pprof/symbol).
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -112,123 +93,47 @@ func New(eng *engine.Engine, cfg Config) http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// shed refuses a request with a Retry-After header: 429 for overload
-// (quota, queue at capacity), 503 for a draining server. Every shed is
-// counted for /v1/stats.
-func (s *server) shed(w http.ResponseWriter, status int, retryAfter time.Duration, err error) {
-	s.shedTotal.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(retryAfter)))
-	writeError(w, status, err)
-}
-
-// admit runs the submission-path admission checks shared by jobs and
-// batches: a draining engine sheds with 503 (come back after the
-// restart), an over-quota client with 429. Reports whether the request
-// may proceed.
-func (s *server) admit(w http.ResponseWriter, r *http.Request) bool {
+// admit runs the admission checks shared by jobs and batches: a
+// draining engine sheds with 503 (come back after the restart), an
+// over-quota client with 429.
+func (s *server) admit(r *http.Request) error {
 	if s.eng.Draining() {
-		s.shed(w, http.StatusServiceUnavailable, drainRetryAfter, engine.ErrDraining)
-		return false
+		return engine.ErrDraining
 	}
 	if ok, wait := s.limit.allow(clientKey(r), time.Now()); !ok {
-		s.shed(w, http.StatusTooManyRequests, wait,
-			fmt.Errorf("client %q over submission quota", clientKey(r)))
-		return false
+		return &quotaError{client: clientKey(r), wait: wait}
 	}
-	return true
+	return nil
 }
-
-// drainRetryAfter is the Retry-After handed out while draining: long
-// enough for a restart to come back, short enough that clients re-home
-// quickly.
-const drainRetryAfter = 5 * time.Second
-
-// queueFullRetryAfter is the Retry-After for a queue at capacity; the
-// queue drains at job-pipeline speed, so a short backoff suffices.
-const queueFullRetryAfter = 1 * time.Second
 
 // maxBodyBytes is the default request-body cap (-max-upload overrides
 // it): a single oversized inline edge list or graph upload must not be
 // able to exhaust the server's memory.
 const maxBodyBytes = 64 << 20
 
-func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
-	}
-	var spec engine.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
-		return
-	}
-	job, err := s.eng.Submit(spec)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusAccepted, job)
-	case errors.Is(err, engine.ErrQueueFull):
-		// Overload, not outage: the client should back off and retry,
-		// which is exactly what 429 + Retry-After says.
-		s.shed(w, http.StatusTooManyRequests, queueFullRetryAfter, err)
-	case errors.Is(err, engine.ErrDraining):
-		s.shed(w, http.StatusServiceUnavailable, drainRetryAfter, err)
-	case errors.Is(err, engine.ErrInvalidSpec):
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		writeError(w, http.StatusServiceUnavailable, err)
-	}
+// SubmitJob enqueues one job on the engine.
+func (s *server) SubmitJob(_ context.Context, spec engine.JobSpec) (engine.Job, error) {
+	return s.eng.Submit(spec)
 }
 
-func (s *server) submitBatch(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w, r) {
-		return
+// SubmitBatch expands and enqueues a batch on the engine.
+func (s *server) SubmitBatch(_ context.Context, batch engine.BatchSpec) ([]string, error) {
+	return s.eng.SubmitBatch(batch)
+}
+
+// GetJob returns one job's snapshot. A wait ends with ctx (a client
+// that disconnects releases the handler; the job keeps running) or
+// with ErrDraining once the engine drains: the client retries after
+// the restart, which recovers the job from the ledger.
+func (s *server) GetJob(ctx context.Context, id string, wait bool) (engine.Job, error) {
+	if wait {
+		return s.eng.WaitCtx(ctx, id)
 	}
-	var spec engine.BatchSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch spec: %w", err))
-		return
+	job, ok := s.eng.Get(id)
+	if !ok {
+		return engine.Job{}, fmt.Errorf("%w %q", engine.ErrUnknownJob, id)
 	}
-	ids, err := s.eng.SubmitBatch(spec)
-	if err != nil {
-		// Jobs enqueued before the failure keep running; hand their IDs
-		// back so the client can still track or wait on them. Capacity
-		// and drain errors are transient and retryable: they shed with a
-		// Retry-After (429 overload / 503 draining) rather than 400.
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, engine.ErrQueueFull):
-			s.shedTotal.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(queueFullRetryAfter)))
-			status = http.StatusTooManyRequests
-		case errors.Is(err, engine.ErrDraining):
-			s.shedTotal.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(drainRetryAfter)))
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, engine.ErrClosed):
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, map[string]any{
-			"error":   err.Error(),
-			"job_ids": ids,
-		})
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"job_ids": ids})
+	return job, nil
 }
 
 func (s *server) listJobs(w http.ResponseWriter, r *http.Request) {
@@ -246,37 +151,6 @@ func (s *server) listJobs(w http.ResponseWriter, r *http.Request) {
 		jobs[i].Spec.Graph.Edges = nil
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
-}
-
-// getJob returns one job's snapshot. With ?wait=1 it blocks until the
-// job finishes — bounded by the request context, so a client that
-// disconnects mid-job releases the handler goroutine immediately (the
-// job itself keeps running) instead of leaking it until job completion.
-func (s *server) getJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if v := r.URL.Query().Get("wait"); v == "1" || v == "true" {
-		job, err := s.eng.WaitCtx(r.Context(), id)
-		switch {
-		case err == nil:
-			writeJSON(w, http.StatusOK, job)
-		case errors.Is(err, engine.ErrDraining):
-			// A draining server releases its waiters instead of holding
-			// them across the shutdown: retry after the restart, when the
-			// job will have been recovered from the ledger.
-			s.shed(w, http.StatusServiceUnavailable, drainRetryAfter, err)
-		case r.Context().Err() != nil:
-			// Client gone; nothing useful can be written.
-		default:
-			writeError(w, http.StatusNotFound, err)
-		}
-		return
-	}
-	job, ok := s.eng.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, job)
 }
 
 // ingestRequest is the JSON form of POST /v1/graphs: a server-side
@@ -306,13 +180,11 @@ func parseWeights(s string) (ingest.WeightMode, error) {
 // as the graph bytes themselves (the upload path), with loader options
 // in query parameters: ?name=, ?format=, ?weights=, ?largest_component=1.
 func (s *server) ingestGraph(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	body := http.MaxBytesReader(w, r.Body, s.api.maxBody)
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		var req ingestRequest
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding ingest request: %w", err))
+		if err := decodeStrict(body, "ingest request", &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		if req.Path == "" {
@@ -417,14 +289,14 @@ func (s *server) benchMatrices(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"matrices": bench.Matrices()})
 }
 
-// stats reports the runtime and pool statistics an operator watches
+// Stats reports the runtime and pool statistics an operator watches
 // under load: goroutine count, heap footprint, worker-pool and queue
 // state, jobs served, cumulative per-stage seconds (the engine's
 // partition/map/enhance split — how much of the fleet's time goes to
 // the base stage vs TIMER), and artifact-cache hit/miss/in-flight
 // counters covering topologies, graphs and partitions (inside the
 // engine block).
-func (s *server) stats(w http.ResponseWriter, r *http.Request) {
+func (s *server) Stats(*http.Request) any {
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	payload := map[string]any{
@@ -433,36 +305,35 @@ func (s *server) stats(w http.ResponseWriter, r *http.Request) {
 		"heap_alloc_bytes":  mem.HeapAlloc,
 		"total_alloc_bytes": mem.TotalAlloc,
 		"num_gc":            mem.NumGC,
-		"shed_total":        s.shedTotal.Load(),
+		"shed_total":        s.api.shedTotal.Load(),
 	}
 	if adm := s.limit.snapshot(); adm != nil {
 		payload["admission"] = adm
 	}
-	writeJSON(w, http.StatusOK, payload)
+	return payload
 }
 
-func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+// Health is liveness plus pool stats: the process answers it
+// throughout a drain, with "draining" flipped.
+func (s *server) Health() any {
+	return map[string]any{
 		"status":      "ok",
 		"workers":     s.eng.Workers(),
 		"queue_depth": s.eng.QueueDepth(),
 		"draining":    s.eng.Draining(),
-	})
+	}
 }
 
-// readyz is the readiness probe routers and load balancers de-pool on:
-// 200 while the replica accepts work, 503 + Retry-After once it begins
-// draining — before the listener goes away, so clients see an orderly
-// "come back later" instead of refused connections. Liveness stays on
-// /healthz, which keeps answering 200 throughout the drain.
-func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
+// Ready fails with ErrDraining once a drain begins — before the
+// listener goes away, so routers de-pool the replica and clients see an
+// orderly "come back later" instead of refused connections.
+func (s *server) Ready() (any, error) {
 	if s.eng.Draining() {
-		s.shed(w, http.StatusServiceUnavailable, drainRetryAfter, engine.ErrDraining)
-		return
+		return nil, engine.ErrDraining
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return map[string]any{
 		"status":      "ready",
 		"workers":     s.eng.Workers(),
 		"queue_depth": s.eng.QueueDepth(),
-	})
+	}, nil
 }
